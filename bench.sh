@@ -25,9 +25,10 @@ go test -bench=. -benchtime="$BENCHTIME" -count="$COUNT" -run '^$' \
     ./internal/machine/ ./internal/irexec/ |
     go run ./cmd/benchjson -mode full -o BENCH_interp.json
 
-echo "== bench: artifact sections (vsa, static, guards)"
+echo "== bench: artifact sections (vsa, static, types, guards)"
 go run ./cmd/benchjson -vsa -o BENCH_interp.json
 go run ./cmd/benchjson -static -o BENCH_interp.json
+go run ./cmd/benchjson -types -o BENCH_interp.json
 go run ./cmd/benchjson -guards -o BENCH_interp.json
 
 echo "== bench: validate"

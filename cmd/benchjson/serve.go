@@ -84,6 +84,9 @@ func serveSections() ([]ServeSection, error) {
 	return out, nil
 }
 
+// roundMs renders a duration as milliseconds with two decimals.
+func roundMs(d time.Duration) float64 { return round2(float64(d.Microseconds()) / 1000) }
+
 // serveOne submits one program's recompile job twice: cold, then warm.
 func serveOne(c *serve.Client, name string) (ServeSection, error) {
 	submit := func() (*serve.Response, float64, error) {

@@ -24,7 +24,7 @@ func refinedAt(t *testing.T, p progs.Program, jobs int) *core.Pipeline {
 }
 
 // refinedAtOpts is refinedAt with full control over the pipeline options
-// (worker count, streaming mode, ...).
+// (worker count, analysis stages, ...).
 func refinedAtOpts(t *testing.T, p progs.Program, opts core.Options) *core.Pipeline {
 	t.Helper()
 	img, err := gen.Build(p.Src, gen.GCC12O3, p.Name)
@@ -67,18 +67,29 @@ func fingerprint(p *core.Pipeline) string {
 				st.Func, st.Slots, st.TypedSlots, st.Conflicts)
 		}
 	}
+	// The analysis stages' verdicts (wall-clock costs excluded).
+	for _, st := range p.VSAStats {
+		fmt.Fprintf(&b, "vsa %s checked=%d cross=%d oof=%d\n",
+			st.Func, st.Checked, st.CrossSlot, st.OutOfFrame)
+	}
+	for _, st := range p.ColdStats {
+		fmt.Fprintf(&b, "cold %s admitted=%v checked=%d reason=%q\n",
+			st.Func, st.Admitted, st.Checked, st.Reason)
+	}
 	return b.String()
 }
 
 // fingerprintFull extends fingerprint with the recompiled instruction
-// stream: the refined IR is optimized and run through codegen, and every
-// emitted instruction's disassembly is appended. The IR is printed first —
-// the optimizer mutates the module in place.
+// stream: the refined IR is optimized — with the VSA alias oracle and the
+// typed slot splitter when those stages ran, exactly as the CLI does — and
+// run through codegen, and every emitted instruction's disassembly is
+// appended. The IR is printed first — the optimizer mutates the module in
+// place.
 func fingerprintFull(t *testing.T, p *core.Pipeline, name string) string {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString(fingerprint(p))
-	opt.PipelineWith(p.Mod, opt.PipelineOpts{Typed: p.TypedInfo()})
+	opt.PipelineWith(p.Mod, opt.PipelineOpts{Oracle: p.Oracle(), Typed: p.TypedInfo()})
 	out, err := codegen.Compile(p.Mod, name+"-rec")
 	if err != nil {
 		t.Fatalf("%s: recompile: %v", name, err)
@@ -90,9 +101,11 @@ func fingerprintFull(t *testing.T, p *core.Pipeline, name string) string {
 }
 
 // The tentpole determinism invariant: over the whole benchmark corpus, a
-// single-worker run, a heavily parallel run, and the streaming pipeline at
-// both worker counts all produce byte-identical IR, layouts, reports and
-// recompiled instruction streams.
+// single-worker run and a heavily parallel run produce byte-identical IR,
+// layouts, reports, analysis verdicts and recompiled instruction streams —
+// under the default flags plus type recovery, and with every static
+// analysis stage on (VSA, cold-code recovery, type recovery), whose alias
+// oracle then also drives the optimizer.
 func TestParallelDeterminism(t *testing.T) {
 	corpus := progs.All
 	if testing.Short() {
@@ -100,23 +113,25 @@ func TestParallelDeterminism(t *testing.T) {
 		// enough to exercise every fork/join path under the race detector.
 		corpus = corpus[:3]
 	}
-	variants := []struct {
+	flagSets := []struct {
 		label string
 		opts  core.Options
 	}{
-		{"-j8", core.Options{Jobs: 8, Lint: core.LintWarn, Types: true}},
-		{"-stream -j1", core.Options{Jobs: 1, Lint: core.LintWarn, Stream: true, Types: true}},
-		{"-stream -j8", core.Options{Jobs: 8, Lint: core.LintWarn, Stream: true, Types: true}},
+		{"-types", core.Options{Lint: core.LintWarn, Types: true}},
+		{"-vsa -static-recover -types", core.Options{Lint: core.LintWarn,
+			VSA: true, StaticRecover: true, Types: true}},
 	}
 	for _, p := range corpus {
 		p := bench.Scaled(p, 6)
-		base := fingerprintFull(t,
-			refinedAtOpts(t, p, core.Options{Jobs: 1, Lint: core.LintWarn, Types: true}), p.Name)
-		for _, v := range variants {
-			got := fingerprintFull(t, refinedAtOpts(t, p, v.opts), p.Name)
+		for _, fs := range flagSets {
+			opts := fs.opts
+			opts.Jobs = 1
+			base := fingerprintFull(t, refinedAtOpts(t, p, opts), p.Name)
+			opts.Jobs = 8
+			got := fingerprintFull(t, refinedAtOpts(t, p, opts), p.Name)
 			if got != base {
-				t.Errorf("%s: %s output differs from -j1\n-- j1:\n%.2000s\n-- %s:\n%.2000s",
-					p.Name, v.label, base, v.label, got)
+				t.Errorf("%s %s: -j8 output differs from -j1\n-- j1:\n%.2000s\n-- j8:\n%.2000s",
+					p.Name, fs.label, base, got)
 			}
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // of every cache key: bumping it when a refinement, the lifter or a
 // verification check changes behaviour invalidates all prior entries
 // without touching the cache on disk.
-const PassVersion = "refine-5"
+const PassVersion = "refine-6"
 
 // encodeInputs serializes an input set deterministically for hashing.
 func encodeInputs(inputs []machine.Input) []byte {
@@ -57,17 +57,16 @@ func encodeImage(img *obj.Image) []byte {
 	return out
 }
 
-// ProgramKey is the content address of a whole binary's refinement outcome:
-// it covers the pass version, the verification mode (an entry records the
-// report of the mode it ran under), whether the value-set analysis stage
-// ran (its findings are part of the report), whether static cold-code
-// recovery ran (it changes the recovered layout and the report), whether
-// the streaming pipeline produced the entry (byte-identical by invariant,
-// but keyed separately so a streaming-mode defect can never serve a
-// barriered request or vice versa), whether the type-recovery stage ran
-// (its typed-conflict findings are part of the report), the input set and
-// the full image.
-func ProgramKey(img *obj.Image, inputs []machine.Input, lint LintMode, vsa, static, streamed, types bool) refcache.Key {
+// ProgramKey is the content address of a whole binary's refinement outcome
+// under opts: it covers the pass version, the verification mode (an entry
+// records the report of the mode it ran under), whether the value-set
+// analysis stage ran (its findings are part of the report), whether static
+// cold-code recovery ran (it changes the recovered layout and the report),
+// whether the type-recovery stage ran (its typed-conflict findings are part
+// of the report), the input set and the full image. The remaining options
+// (worker count, cache handle, observer) never change the outcome and are
+// not keyed.
+func ProgramKey(img *obj.Image, inputs []machine.Input, opts Options) refcache.Key {
 	flag := func(b bool) byte {
 		if b {
 			return 1
@@ -76,15 +75,10 @@ func ProgramKey(img *obj.Image, inputs []machine.Input, lint LintMode, vsa, stat
 	}
 	return refcache.NewKey("program",
 		[]byte(PassVersion),
-		[]byte{byte(lint), flag(vsa), flag(static), flag(streamed), flag(types)},
+		[]byte{byte(opts.Lint), flag(opts.VSA), flag(opts.StaticRecover), flag(opts.Types)},
 		encodeInputs(inputs),
 		encodeImage(img),
 	)
-}
-
-// programKey is ProgramKey over the pipeline's own image and inputs.
-func (p *Pipeline) programKey() refcache.Key {
-	return ProgramKey(p.Img, p.Inputs, p.Lint, p.VSA, p.StaticRecover, p.Stream, p.Types)
 }
 
 // funcBytes serializes one recovered function's machine code: each traced
@@ -120,9 +114,9 @@ func (p *Pipeline) funcBytes(entry uint32) []byte {
 // callees by their code, external ones by name) — the interprocedural
 // facts a function's refinement consumes (saved-register classes, argument
 // slots, variadic signatures) are derived from exactly those callees'
-// behaviour. Deeper indirect dependencies are deliberately not hashed;
-// this is the precision/reuse tradeoff of incremental lifting, and the
-// entries only feed the per-function verification findings, never the IR.
+// behaviour. Deeper indirect dependencies are deliberately not hashed: the
+// entries only feed the per-function verification findings (a hit skips
+// analysis.LintFunc and nothing else), never the IR.
 func (p *Pipeline) funcKeyFor(name string, entry uint32) refcache.Key {
 	own := p.funcBytes(entry)
 	// Collect direct callees from the trace's observed call edges that
@@ -178,9 +172,8 @@ func RecoverLayout(img *obj.Image, inputs []machine.Input, opts Options) (*Pipel
 		inputs = []machine.Input{{}}
 	}
 	if opts.Cache != nil {
-		key := ProgramKey(img, inputs, opts.Lint, opts.VSA, opts.StaticRecover, opts.Stream, opts.Types)
-		if e, ok := opts.Cache.GetProgram(key); ok {
-			p := newPipeline(img, inputs, opts)
+		if e, ok := opts.Cache.GetProgram(ProgramKey(img, inputs, opts)); ok {
+			p := &Pipeline{Options: opts, Img: img, Inputs: inputs}
 			p.FromCache = true
 			prog, rep := refcache.LayoutFromProgram(e)
 			p.Recovered = prog

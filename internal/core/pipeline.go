@@ -85,23 +85,10 @@ type Options struct {
 	// proves every frame access safe (otherwise they degrade to trap
 	// stubs, like any other untraced path).
 	StaticRecover bool
-	// Stream selects the streaming trace→lift pipeline: emulator
-	// producers push block records onto a bounded channel, a worker pool
-	// decodes and merges them, and refinement starts on a
-	// coverage-complete input prefix while later inputs still trace
-	// (refine-ahead, validated by trace digest). Output is byte-identical
-	// to the phase-barriered pipeline at every worker count; see
-	// ARCHITECTURE.md §3.
-	Stream bool
-	// StreamBuf overrides the streaming record-channel capacity
-	// (0 means stream.DefaultBuf). It bounds producer run-ahead, never
-	// the output.
-	StreamBuf int
 	// Observer, when non-nil, receives a start and a finish event for
-	// every pipeline stage. It may be called concurrently from several
-	// goroutines (streaming mode overlaps stages) and must be
-	// goroutine-safe; events are observability only and never influence
-	// pipeline output.
+	// every pipeline stage. Pipelines running concurrently (a daemon's
+	// workers) may share one observer, so it must be goroutine-safe;
+	// events are observability only and never influence pipeline output.
 	Observer func(StageEvent)
 }
 
@@ -114,19 +101,6 @@ type StageEvent struct {
 	Stage string
 	// Action is "start" or "finish".
 	Action string
-}
-
-// StreamStats summarizes a streaming run for reporting and benchmarks.
-type StreamStats struct {
-	// Records and Blocks count the records that crossed the bounded
-	// channel and the distinct block records among them.
-	Records, Blocks int
-	// Closes counts the resolved function-close events.
-	Closes int
-	// Speculated reports that a refine-ahead pipeline was launched on an
-	// input prefix; Adopted that its trace digest matched the final merge
-	// and its results were kept.
-	Speculated, Adopted bool
 }
 
 // ColdStat records one cold candidate's admission outcome.
@@ -176,37 +150,17 @@ type StageTime struct {
 
 // Pipeline carries the state of one recompilation.
 type Pipeline struct {
+	// Options is the option set the pipeline runs under; its fields are
+	// promoted (p.Jobs, p.Lint, p.VSA, ...).
+	Options
+
 	Img    *obj.Image      // the binary under recompilation
 	Inputs []machine.Input // the trace/refinement input set
 
-	// Jobs bounds the worker pool (see Options.Jobs).
-	Jobs int
-	// Cache memoizes refinement results across runs (nil disables).
-	Cache *refcache.Cache
 	// FromCache marks a pipeline whose results were served entirely from
 	// the cache; the trace/IR fields are nil on such a pipeline.
 	FromCache bool
 
-	// Stream mirrors the option of the same name.
-	Stream bool
-	// StreamBuf mirrors the option of the same name.
-	StreamBuf int
-	// StreamStats summarizes the streaming run (nil in barriered mode).
-	StreamStats *StreamStats
-	// Observer mirrors Options.Observer (may be nil).
-	Observer func(StageEvent)
-	// refined marks that the refinement sequence has already run (the
-	// streaming scheduler refines ahead), making Refine a no-op.
-	refined bool
-
-	// Lint selects the post-refinement verification stage's behaviour.
-	Lint LintMode
-	// VSA enables the post-symbolization value-set analysis stage.
-	VSA bool
-	// Types enables the post-symbolization type-recovery stage (see Options).
-	Types bool
-	// StaticRecover enables the cold-code recovery stage (see Options).
-	StaticRecover bool
 	// Cold is the static discovery result (nil unless StaticRecover).
 	Cold *coldrec.Result
 	// ColdStats holds the per-candidate admission outcomes in entry order
@@ -241,14 +195,15 @@ type Pipeline struct {
 	Degraded map[string]error
 
 	// FuncCacheHits counts the functions whose content-addressed cache key
-	// hit during this run (their per-function results were reused instead
-	// of recomputed). Unlike the shared Cache handle's Stats — which
-	// aggregate every concurrent pipeline sharing the handle — these
-	// counters are per-run, which is what a daemon needs to report an
-	// honest per-request hit rate for incremental re-lifts.
+	// hit during this run: their recorded lint findings were reused and
+	// the per-function lint checks skipped (every other stage still ran
+	// for them). Unlike the shared Cache handle's Stats — which aggregate
+	// every concurrent pipeline sharing the handle — these counters are
+	// per-run, which is what a daemon needs to report an honest
+	// per-request hit rate.
 	FuncCacheHits int
-	// FuncCacheMisses counts the functions whose key missed and whose
-	// results were computed and recorded this run (see FuncCacheHits).
+	// FuncCacheMisses counts the functions whose key missed and whose lint
+	// findings were computed and recorded this run (see FuncCacheHits).
 	FuncCacheMisses int
 
 	// Times records per-stage wall-clock costs in execution order.
@@ -299,29 +254,16 @@ func LiftBinary(img *obj.Image, inputs []machine.Input) (*Pipeline, error) {
 	return LiftBinaryOpts(img, inputs, Options{Jobs: 1})
 }
 
-// newPipeline builds an empty pipeline carrying the option set.
-func newPipeline(img *obj.Image, inputs []machine.Input, opts Options) *Pipeline {
-	return &Pipeline{Img: img, Inputs: inputs, Jobs: opts.Jobs, Lint: opts.Lint,
-		Cache: opts.Cache, VSA: opts.VSA, Types: opts.Types,
-		StaticRecover: opts.StaticRecover,
-		Stream:        opts.Stream, StreamBuf: opts.StreamBuf, Observer: opts.Observer}
-}
-
 // LiftBinaryOpts performs the front half of the pipeline with explicit
 // options: the per-input traces run over the worker pool and merge in
-// input order, so the trace — and everything derived from it — is
-// independent of the worker count. With Options.Stream set the trace
-// streams through the bounded-channel pipeline instead, overlapping
-// tracing with lifting and refinement (see liftStreamed); the returned
-// pipeline may then already be refined, which Refine detects.
+// input order, so the trace — and everything derived from it (the CFG,
+// the function partition, optional cold-code discovery and the lifted
+// IR) — is independent of the worker count.
 func LiftBinaryOpts(img *obj.Image, inputs []machine.Input, opts Options) (*Pipeline, error) {
 	if len(inputs) == 0 {
 		inputs = []machine.Input{{}}
 	}
-	if opts.Stream {
-		return liftStreamed(img, inputs, opts)
-	}
-	p := newPipeline(img, inputs, opts)
+	p := &Pipeline{Options: opts, Img: img, Inputs: inputs}
 	err := p.timed("trace", func() error {
 		p.Trace = tracer.New(img)
 		return p.Trace.RunAllJobs(inputs, io.Discard, p.jobs())
@@ -329,25 +271,13 @@ func LiftBinaryOpts(img *obj.Image, inputs []machine.Input, opts Options) (*Pipe
 	if err != nil {
 		return nil, fmt.Errorf("core: tracing: %w", err)
 	}
-	if err := p.buildFromTrace(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// buildFromTrace runs the trace-derived build stages — CFG construction,
-// function recovery, optional cold-code discovery, and lifting — on
-// p.Trace. It is shared by the barriered path, the streaming path and the
-// streaming scheduler's refine-ahead speculation: everything below here is
-// a pure function of the trace's fact sets (see tracer.Digest).
-func (p *Pipeline) buildFromTrace() error {
-	err := p.timed("cfg", func() error {
+	err = p.timed("cfg", func() error {
 		cfg, err := p.Trace.BuildCFG()
 		p.CFG = cfg
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("core: cfg: %w", err)
+		return nil, fmt.Errorf("core: cfg: %w", err)
 	}
 	err = p.timed("funcrec", func() error {
 		rec, err := funcrec.Recover(p.CFG)
@@ -355,7 +285,7 @@ func (p *Pipeline) buildFromTrace() error {
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("core: function recovery: %w", err)
+		return nil, fmt.Errorf("core: function recovery: %w", err)
 	}
 	if p.StaticRecover {
 		_ = p.timed("coldrec", func() error {
@@ -387,9 +317,9 @@ func (p *Pipeline) buildFromTrace() error {
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("core: lifting: %w", err)
+		return nil, fmt.Errorf("core: lifting: %w", err)
 	}
-	return nil
+	return p, nil
 }
 
 // coldCands returns the accepted cold candidates, or nil.
@@ -781,30 +711,12 @@ func (p *Pipeline) Oracle() func(*ir.Func) opt.AliasOracle {
 	return func(f *ir.Func) opt.AliasOracle { return vsa.NewOracle(f) }
 }
 
-// Refine runs the complete refinement-lifting sequence on a lifted module.
-// On success, the recovered layout and verification report are recorded in
+// Refine runs the complete refinement-lifting sequence on a lifted module:
+// regsave → varargs → stackref → symbolize → [vsa] → [typerec]. On
+// success, the recovered layout and verification report are recorded in
 // the cache under the binary's program key, so an identical future run can
-// skip the pipeline (see RecoverLayout). On a streamed pipeline the
-// refine-ahead scheduler may already have run the sequence, in which case
-// Refine is a no-op.
+// skip the pipeline (see RecoverLayout).
 func (p *Pipeline) Refine() error {
-	if p.refined {
-		return nil
-	}
-	if err := p.refineStages(); err != nil {
-		return err
-	}
-	p.refined = true
-	p.recordProgram()
-	return nil
-}
-
-// refineStages is the refinement sequence itself: regsave → varargs →
-// stackref → symbolize → [vsa]. It deliberately does not write the
-// program-key cache entry — a speculative refine-ahead run must never
-// record a program-level result until its trace is validated
-// (recordProgram is called only on the authoritative pipeline).
-func (p *Pipeline) refineStages() error {
 	if err := p.timed("regsave", p.RefineRegSave); err != nil {
 		return err
 	}
@@ -830,13 +742,9 @@ func (p *Pipeline) refineStages() error {
 			return err
 		}
 	}
-	return nil
-}
-
-// recordProgram memoizes the finished pipeline's layout and report under
-// the binary's program key.
-func (p *Pipeline) recordProgram() {
-	if p.Cache != nil && p.Recovered != nil {
-		p.Cache.PutProgram(p.programKey(), refcache.ProgramFromLayout(p.Recovered, p.Report))
+	if p.Cache != nil {
+		p.Cache.PutProgram(ProgramKey(p.Img, p.Inputs, p.Options),
+			refcache.ProgramFromLayout(p.Recovered, p.Report))
 	}
+	return nil
 }

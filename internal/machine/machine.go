@@ -79,24 +79,6 @@ type Machine struct {
 	// InstrHook, when non-nil, is called with the PC of every executed
 	// instruction (tracing support).
 	InstrHook func(pc uint32)
-	// BlockHook, when non-nil, is called at the end of every dynamic basic
-	// block — the maximal run of instructions between two control
-	// transfers. start and end are the addresses of the block's first and
-	// last executed instruction; when the block ended at a control transfer
-	// term is true and t is that transfer, and when it ended because the
-	// program stopped (HALT, exit syscall) term is false and t is zero.
-	// Because every control opcode terminates a block regardless of
-	// direction, the end address is a pure function of the start address
-	// and the static code — the streaming tracer relies on this to dedup
-	// block records by start address.
-	BlockHook func(start, end uint32, t Transfer, term bool)
-
-	// blockStart is the address of the first instruction of the dynamic
-	// block currently executing (BlockHook support); blockPending marks
-	// that the current instruction ended a block, so the next block starts
-	// at whatever address control moves to.
-	blockStart   uint32
-	blockPending bool
 
 	// code is the image's decoded instruction stream; prog, runLen and
 	// runCost are its pre-decoded superblock tables (see superblock.go),
@@ -198,7 +180,6 @@ func New(img *obj.Image, input Input, out io.Writer) (*Machine, error) {
 	m.lib = lib
 	m.Regs[isa.ESP] = isa.StackTop
 	m.pc = img.Entry
-	m.blockStart = img.Entry
 	m.code = img.Code
 	m.predecode()
 	return m, nil
@@ -213,37 +194,20 @@ func (m *Machine) Halted() bool { return m.halted }
 // ExitCode returns the program's exit status (valid after Halted).
 func (m *Machine) ExitCode() int32 { return m.exitCode }
 
-// transferTo completes a control transfer with observers attached: it
-// emits the event (From is the current pc, still the transferring
-// instruction), moves pc to the target and starts a new dynamic block if
-// the block hook asked for one. The dispatch loops call it from their
-// JMP/JCC cases only when a hook is set or a block boundary is pending;
-// with no observers they just move pc, which is all a transfer does then.
-// exec's tail performs the same sequence for the remaining control ops.
+// transferTo completes a control transfer with the transfer hook
+// attached: it emits the event (From is the current pc, still the
+// transferring instruction) and moves pc to the target. The dispatch loops
+// call it from their JMP/JCC cases only when the hook is set; with no
+// observer they just move pc, which is all a transfer does then. exec's
+// tail performs the same sequence for the remaining control ops.
 func (m *Machine) transferTo(kind TransferKind, to uint32, taken bool) {
 	m.emit(Transfer{Kind: kind, From: m.pc, To: to, Taken: taken})
 	m.pc = to
-	if m.blockPending {
-		m.blockStart = to
-		m.blockPending = false
-	}
 }
 
 func (m *Machine) emit(t Transfer) {
 	if m.Hook != nil {
 		m.Hook(t)
-	}
-	if m.BlockHook != nil {
-		m.BlockHook(m.blockStart, m.pc, t, true)
-		m.blockPending = true
-	}
-}
-
-// endBlock reports the in-flight block when execution stops without a
-// control transfer (HALT or the exit syscall).
-func (m *Machine) endBlock() {
-	if m.BlockHook != nil {
-		m.BlockHook(m.blockStart, m.pc, Transfer{}, false)
 	}
 }
 
@@ -394,7 +358,6 @@ func (m *Machine) exec(in *isa.Instr) error {
 			return err
 		}
 		if m.halted {
-			m.endBlock()
 			return nil
 		}
 	case isa.HALT:
@@ -403,7 +366,6 @@ func (m *Machine) exec(in *isa.Instr) error {
 		}
 		m.halted = true
 		m.exitCode = int32(m.Regs[isa.EAX])
-		m.endBlock()
 		return nil
 
 	default:
@@ -411,10 +373,6 @@ func (m *Machine) exec(in *isa.Instr) error {
 	}
 
 	m.pc = next
-	if m.blockPending {
-		m.blockStart = next
-		m.blockPending = false
-	}
 	return nil
 }
 

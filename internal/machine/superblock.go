@@ -438,7 +438,7 @@ func (m *Machine) Step() error {
 
 	case uJmp:
 		to := uint32(u.imm)
-		if m.Hook == nil && m.BlockHook == nil && !m.blockPending {
+		if m.Hook == nil {
 			m.pc = to // nothing to emit, no block to restart
 			return nil
 		}
@@ -450,7 +450,7 @@ func (m *Machine) Step() error {
 		if taken {
 			to = uint32(u.imm)
 		}
-		if m.Hook == nil && m.BlockHook == nil && !m.blockPending {
+		if m.Hook == nil {
 			m.pc = to
 			return nil
 		}
@@ -715,7 +715,7 @@ func (m *Machine) runSuper() error {
 		case uJmp:
 			m.Cycles += uint64(u.cost)
 			to := uint32(u.imm)
-			if m.Hook == nil && m.BlockHook == nil && !m.blockPending {
+			if m.Hook == nil {
 				m.pc = to
 				continue
 			}
@@ -727,7 +727,7 @@ func (m *Machine) runSuper() error {
 			if taken {
 				to = uint32(u.imm)
 			}
-			if m.Hook == nil && m.BlockHook == nil && !m.blockPending {
+			if m.Hook == nil {
 				m.pc = to
 				continue
 			}

@@ -3,7 +3,7 @@ package machine_test
 // Differential tests for superblock dispatch (superblock.go): every
 // observable of an execution — final registers, pc, Steps, Cycles, total
 // cycles, exit code, program output, the memory digest, and the exact
-// Transfer/BlockHook/InstrHook event streams — must be identical whether a
+// Transfer/InstrHook event streams — must be identical whether a
 // program runs through Run's superblock path, Run with NoSuperblocks set,
 // or a manual Step loop, with any combination of hooks attached. The
 // dispatch switch exists in two deliberate copies (see superblock.go);
@@ -26,13 +26,6 @@ import (
 	"wytiwyg/internal/obj"
 )
 
-// blockEv is one BlockHook callback, recorded verbatim.
-type blockEv struct {
-	start, end uint32
-	t          machine.Transfer
-	term       bool
-}
-
 // runState is everything observable about one finished (or faulted)
 // execution.
 type runState struct {
@@ -47,19 +40,17 @@ type runState struct {
 	digest    [sha256.Size]byte
 	out       string
 	transfers []machine.Transfer
-	blocks    []blockEv
 	pcs       []uint32 // InstrHook stream; nil when the hook was off
 }
 
 // hookSet selects which observers a run attaches.
 type hookSet struct {
 	transfer bool
-	block    bool
 	instr    bool
 }
 
 func (h hookSet) String() string {
-	return fmt.Sprintf("transfer=%v block=%v instr=%v", h.transfer, h.block, h.instr)
+	return fmt.Sprintf("transfer=%v instr=%v", h.transfer, h.instr)
 }
 
 // runImage executes img on input in the given mode and returns the full
@@ -78,11 +69,6 @@ func runImage(t *testing.T, img *obj.Image, input machine.Input, noSuper bool, h
 	var st runState
 	if hooks.transfer {
 		m.Hook = func(tr machine.Transfer) { st.transfers = append(st.transfers, tr) }
-	}
-	if hooks.block {
-		m.BlockHook = func(start, end uint32, tr machine.Transfer, term bool) {
-			st.blocks = append(st.blocks, blockEv{start, end, tr, term})
-		}
 	}
 	if hooks.instr {
 		st.pcs = []uint32{}
@@ -148,16 +134,6 @@ func diffStates(t *testing.T, label string, ref, got runState) {
 			}
 		}
 	}
-	if ref.blocks != nil && got.blocks != nil {
-		if len(ref.blocks) != len(got.blocks) {
-			t.Fatalf("%s: block event counts differ: ref=%d got=%d", label, len(ref.blocks), len(got.blocks))
-		}
-		for i := range ref.blocks {
-			if ref.blocks[i] != got.blocks[i] {
-				t.Fatalf("%s: block event %d differs:\n ref: %+v\n got: %+v", label, i, ref.blocks[i], got.blocks[i])
-			}
-		}
-	}
 	if ref.pcs != nil && got.pcs != nil {
 		if len(ref.pcs) != len(got.pcs) {
 			t.Fatalf("%s: InstrHook stream lengths differ: ref=%d got=%d", label, len(ref.pcs), len(got.pcs))
@@ -174,7 +150,7 @@ func diffStates(t *testing.T, label string, ref, got runState) {
 // configuration and requires all of them to observe the same execution.
 func differential(t *testing.T, img *obj.Image, input machine.Input) {
 	t.Helper()
-	allHooks := hookSet{transfer: true, block: true, instr: true}
+	allHooks := hookSet{transfer: true, instr: true}
 	// The reference: per-instruction dispatch with every observer attached.
 	ref := runImage(t, img, input, true, allHooks, 0)
 	if ref.instrCount() != ref.steps {
@@ -184,12 +160,11 @@ func differential(t *testing.T, img *obj.Image, input machine.Input) {
 		noSuper bool
 		hooks   hookSet
 	}{
-		{false, hookSet{}},                            // superblock fast path, no observers
-		{false, hookSet{transfer: true}},              // superblock + transfer hook
-		{false, hookSet{transfer: true, block: true}}, // superblock + both block-level hooks
-		{false, allHooks},                             // InstrHook forces the stepwise fallback
-		{true, hookSet{}},                             // per-instruction, no observers
-		{true, hookSet{instr: true}},                  // per-instruction + InstrHook
+		{false, hookSet{}},               // superblock fast path, no observers
+		{false, hookSet{transfer: true}}, // superblock + transfer hook
+		{false, allHooks},                // InstrHook forces the stepwise fallback
+		{true, hookSet{}},                // per-instruction, no observers
+		{true, hookSet{instr: true}},     // per-instruction + InstrHook
 	}
 	for _, c := range configs {
 		label := fmt.Sprintf("noSuper=%v %s", c.noSuper, c.hooks)

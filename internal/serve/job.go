@@ -45,7 +45,7 @@ type RunInfo struct {
 	// FuncHits and FuncMisses are the run's function-granularity cache
 	// counters (see core.Pipeline).
 	FuncHits int
-	// FuncMisses counts recomputed functions (see FuncHits).
+	// FuncMisses counts functions whose lint checks ran (see FuncHits).
 	FuncMisses int
 }
 
@@ -91,7 +91,6 @@ func (r *Runner) options(job *Job) core.Options {
 		VSA:           job.VSA,
 		Types:         job.Types,
 		StaticRecover: job.StaticRecover,
-		Stream:        job.Stream,
 		Observer:      r.Observer,
 	}
 }

@@ -14,11 +14,11 @@
 //   - request-level single-flight dedup: concurrent requests for the
 //     same job digest join one in-flight computation and all receive the
 //     identical response;
-//   - per-function incremental re-lift: a pipeline run with the shared
-//     cache attached reuses the function-granularity entries of every
-//     function whose code (and traced callees) did not change, so
-//     submitting a slightly modified binary recomputes only the
-//     modified functions' results.
+//   - per-function lint reuse: a pipeline run with the shared cache
+//     attached reuses the recorded lint findings of every function whose
+//     code (and traced callees) did not change. Every pipeline stage
+//     still runs on a modified binary; only the per-function lint checks
+//     of unchanged functions are skipped.
 //
 // Responses carry per-request statistics — cache hit rate, per-stage
 // wall-clock timings, and the queue depth at admission — next to a
@@ -39,7 +39,7 @@ import (
 // ProtocolVersion identifies the request/response schema. It is part of
 // the serve-level cache key, so daemons speaking different protocol
 // revisions never serve each other's cached payloads.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Job kinds accepted by the daemon.
 const (
@@ -75,8 +75,6 @@ type Job struct {
 	Types bool `json:"types,omitempty"`
 	// StaticRecover enables static recovery of untraced code.
 	StaticRecover bool `json:"static_recover,omitempty"`
-	// Stream selects the streaming trace→lift pipeline.
-	Stream bool `json:"stream,omitempty"`
 }
 
 // Normalize fills defaults and validates the job. It must run before
@@ -148,7 +146,7 @@ func (j *Job) Digest() string {
 		}
 		return 0
 	}
-	h.Write([]byte{flag(j.VSA), flag(j.Types), flag(j.StaticRecover), flag(j.Stream)})
+	h.Write([]byte{flag(j.VSA), flag(j.Types), flag(j.StaticRecover)})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -212,10 +210,12 @@ type Stats struct {
 	// Warm reports that the whole payload was served from the shared
 	// response cache without running the pipeline.
 	Warm bool `json:"warm"`
-	// FuncHits counts functions whose per-function cache entries were
-	// reused during the run (0 when warm: nothing ran).
+	// FuncHits counts functions whose cached lint findings were reused
+	// during the run instead of re-running the per-function lint checks;
+	// every other stage still ran for them (0 when warm: nothing ran).
 	FuncHits int `json:"func_hits"`
-	// FuncMisses counts functions recomputed during the run (see FuncHits).
+	// FuncMisses counts functions whose lint checks ran and were recorded
+	// during the run (see FuncHits).
 	FuncMisses int `json:"func_misses"`
 	// HitRate is the request's cache efficiency: 1.0 for a warm response,
 	// else FuncHits over all functions looked up.

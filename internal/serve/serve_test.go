@@ -3,8 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,11 +234,11 @@ int tweaked(int n) {
 }
 `
 
-// Per-function incremental re-lift: submitting a binary where only one
-// function changed reuses the unchanged functions' cache entries — the
-// response's func-granularity counters must show both hits (the
-// unchanged function) and misses (the edited function, and its callers
-// whose keys embed the callee's code).
+// Per-function lint reuse: submitting a binary where only one function
+// changed reuses the unchanged functions' cached lint findings (every
+// pipeline stage still runs) — the response's func-granularity counters
+// must show both hits (the unchanged function) and misses (the edited
+// function, and its callers whose keys embed the callee's code).
 func TestServeIncrementalFuncReuse(t *testing.T) {
 	c, _, done := startServer(t, Config{})
 	first, err := c.Submit(&Job{Kind: KindLint, Source: incrementalSrcA, Inputs: []int32{5}})
@@ -261,13 +263,45 @@ func TestServeIncrementalFuncReuse(t *testing.T) {
 		t.Error("edited binary served warm — the job digest missed the source change")
 	}
 	if second.Stats.FuncHits == 0 {
-		t.Error("edited binary reused no function entries — incremental re-lift not happening")
+		t.Error("edited binary reused no function entries — unchanged functions' lint findings were recomputed")
 	}
 	if second.Stats.FuncMisses == 0 {
 		t.Error("edited binary missed nothing — the edited function was served stale")
 	}
 	if second.Stats.HitRate <= 0 || second.Stats.HitRate >= 1 {
 		t.Errorf("hit rate = %v, want strictly between 0 and 1", second.Stats.HitRate)
+	}
+	stopServer(t, c, done)
+}
+
+// A job request carrying a field the schema does not know — here the
+// streaming option an earlier protocol accepted — is refused with a 400
+// that names the field, instead of running a different job than asked.
+func TestServeRejectsUnknownJobField(t *testing.T) {
+	c, _, done := startServer(t, Config{})
+	httpResp, err := c.hc.Post(c.base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"bench":"mcf","stream":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	err = json.NewDecoder(httpResp.Body).Decode(&resp)
+	httpResp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if httpResp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status = %d, want %d", httpResp.StatusCode, http.StatusBadRequest)
+	}
+	if !strings.Contains(resp.Error, `"stream"`) || resp.Payload != nil {
+		t.Errorf("response = %+v, want an error naming the unknown field \"stream\"", resp)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 0 || st.Executed != 0 {
+		t.Errorf("refused request was counted or run: %+v", st)
 	}
 	stopServer(t, c, done)
 }

@@ -112,10 +112,14 @@ func (s *Server) handleShutdown(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleJob is the submission endpoint: decode, normalize, dedup
-// in-flight, serve warm or execute, answer.
+// in-flight, serve warm or execute, answer. A request carrying a field
+// the Job schema does not know (a misspelled flag, or an option an older
+// protocol had) is refused rather than silently run as a different job.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var job Job
-	if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&job); err != nil {
 		writeResponse(w, http.StatusBadRequest, &Response{Error: fmt.Sprintf("serve: bad request: %v", err)})
 		return
 	}

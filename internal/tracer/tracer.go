@@ -65,7 +65,7 @@ func (t *Trace) Run(input machine.Input, out io.Writer) (machine.Result, error) 
 		return machine.Result{}, err
 	}
 	m.InstrHook = func(pc uint32) { t.Executed[pc] = true }
-	m.Hook = t.AddTransfer
+	m.Hook = t.addTransfer
 	if err := m.Run(); err != nil {
 		return machine.Result{}, fmt.Errorf("tracer: %w", err)
 	}
@@ -73,11 +73,9 @@ func (t *Trace) Run(input machine.Input, out io.Writer) (machine.Result, error) 
 	return machine.Result{ExitCode: m.ExitCode(), Cycles: m.TotalCycles(), Steps: m.Steps}, nil
 }
 
-// AddTransfer folds one observed control transfer into the trace. It is
-// the single classification point shared by the phase-barriered tracer
-// (Run's machine hook) and the streaming pipeline's merge stage, so both
-// modes record identical facts for identical events.
-func (t *Trace) AddTransfer(tr machine.Transfer) {
+// addTransfer folds one observed control transfer into the trace (Run's
+// machine hook).
+func (t *Trace) addTransfer(tr machine.Transfer) {
 	switch tr.Kind {
 	case machine.TransferCall:
 		addTarget(t.CallTargets, tr.From, tr.To)
@@ -92,9 +90,6 @@ func (t *Trace) AddTransfer(tr machine.Transfer) {
 		t.RetSites[tr.From] = true
 	}
 }
-
-// MarkExecuted records one executed instruction address.
-func (t *Trace) MarkExecuted(pc uint32) { t.Executed[pc] = true }
 
 // RunAll merges traces for several inputs (incremental lifting's "provide
 // more inputs until coverage suffices").
