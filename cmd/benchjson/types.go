@@ -22,7 +22,9 @@ import (
 // inference has work to do, plus one scalar-heavy control.
 var typePrograms = []string{"bzip2", "astar", "xalancbmk", "hmmer"}
 
-// TypeFunc is one function's inference cost and coverage.
+// TypeFunc is one function's inference cost and coverage. The -types
+// run has no vsa stage, so InferenceMs includes the function's VSA
+// fixpoint, which the typerec stage then computes itself.
 type TypeFunc struct {
 	Func        string  `json:"func"`         // function name
 	InferenceMs float64 `json:"inference_ms"` // per-function inference wall time

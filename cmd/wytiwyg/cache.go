@@ -27,10 +27,24 @@ func openCache(enabled bool, dir string) *refcache.Cache {
 	return c
 }
 
-// printTimings prints the per-stage wall-clock breakdown of one run.
-func printTimings(times []core.StageTime) {
+// printTimings prints the per-stage wall-clock breakdown of one run and
+// marks the stage whose time includes the VSA fixpoint: the vsa stage
+// computes it once per function and the typerec stage reuses it, or,
+// without -vsa, the typerec stage computes it.
+func printTimings(p *core.Pipeline) {
+	fixStage := ""
+	switch {
+	case p.VSA:
+		fixStage = "vsa"
+	case p.Types:
+		fixStage = "typerec"
+	}
 	fmt.Println("stage timings:")
-	for _, st := range times {
-		fmt.Printf("  %-10s %s\n", st.Stage, st.Elapsed)
+	for _, st := range p.Times {
+		fmt.Printf("  %-10s %s", st.Stage, st.Elapsed)
+		if st.Stage == fixStage {
+			fmt.Print(" (includes the VSA fixpoint)")
+		}
+		fmt.Println()
 	}
 }

@@ -214,7 +214,7 @@ func main() {
 		printStaticStats(p, *timings)
 	}
 	if *timings {
-		printTimings(p.Times)
+		printTimings(p)
 	}
 	if cache != nil {
 		fmt.Printf("cache: %s (%s)\n", cache.Stats(), cache.Dir())
@@ -330,7 +330,8 @@ func printVSAStats(stats []core.VSAStat, showTime bool) {
 // printTypeStats summarizes the type-recovery stage: typed-slot coverage,
 // conflict count, and — when ground-truth types are available — the typed
 // precision/recall. The inference wall time appears only under -timings
-// (the determinism contract, as with printVSAStats).
+// (the determinism contract, as with printVSAStats); it includes the VSA
+// fixpoint only without -vsa, when the typerec stage computes it.
 func printTypeStats(p *core.Pipeline, showTime bool) {
 	typed, total, conflicts := 0, 0, 0
 	var elapsed time.Duration
@@ -347,6 +348,9 @@ func printTypeStats(p *core.Pipeline, showTime bool) {
 	}
 	if showTime {
 		fmt.Printf(" in %v", elapsed.Round(time.Microsecond))
+		if !p.VSA {
+			fmt.Print(" (including the VSA fixpoint)")
+		}
 	}
 	fmt.Println()
 }

@@ -44,7 +44,7 @@ func TestRandomProgramFrameInvariants(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			src := generate(seed)
+			src := RandomProgram(seed)
 			prof := gen.Profiles[int(seed)%len(gen.Profiles)]
 			img, err := gen.Build(src, prof, "inv")
 			if err != nil {
@@ -72,7 +72,7 @@ func TestRandomProgramFrameInvariants(t *testing.T) {
 // well-formed reference.
 func TestGroundTruthFrameInvariants(t *testing.T) {
 	for seed := int64(201); seed <= 208; seed++ {
-		src := generate(seed)
+		src := RandomProgram(seed)
 		for _, prof := range gen.Profiles {
 			img, err := gen.Build(src, prof, "truth")
 			if err != nil {

@@ -67,7 +67,7 @@ func TestVSADifferentialNoUnsoundVerdicts(t *testing.T) {
 	}
 	totalVerdicts, totalClaims := 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
-		src := generate(seed)
+		src := RandomProgram(seed)
 		prof := gen.Profiles[int(seed)%len(gen.Profiles)]
 		img, err := gen.Build(src, prof, "vsafuzz")
 		if err != nil {

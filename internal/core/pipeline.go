@@ -125,7 +125,10 @@ type TypeStat struct {
 	// Func is the function name.
 	Func string
 	// Elapsed is the inference's wall-clock cost (excluding unification,
-	// which is a single cross-function pass).
+	// which is a single cross-function pass). It includes the function's
+	// VSA fixpoint only when the vsa stage did not run: the typerec stage
+	// then computes the fixpoint itself, otherwise it reuses the vsa
+	// stage's (whose VSAStat.Elapsed carries that cost).
 	Elapsed time.Duration
 	// Slots counts the function's layout slots; TypedSlots those that got
 	// a committed type; Conflicts the irreconcilable-evidence events.
@@ -169,6 +172,10 @@ type Pipeline struct {
 	// VSAStats holds the per-function value-set analysis outcomes, in
 	// module function order (nil until the VSA stage has run).
 	VSAStats []VSAStat
+	// vsaResults holds the VSA stage's per-function fixpoints in module
+	// function order (nil unless the stage ran); the typerec stage infers
+	// types from them instead of recomputing them.
+	vsaResults []*vsa.FuncResult
 	// TypeStats holds the per-function type-recovery outcomes, in module
 	// function order (nil until the typerec stage has run).
 	TypeStats []TypeStat
@@ -666,11 +673,12 @@ func (p *Pipeline) lintFuncs() {
 
 // RefineVSA runs the value-set analysis stage: every function gets a
 // whole-function abstract interpretation whose fixpoint verifies the
-// recovered layout (cross-slot and out-of-frame accesses) and records the
-// per-function analysis cost. Functions are processed over the worker
-// pool with findings and stats merged in module function order, so the
-// output is worker-count independent like every other stage. The stage is
-// a no-op unless Options.VSA was set.
+// recovered layout (cross-slot and out-of-frame accesses), records the
+// per-function analysis cost, and is kept for the typerec stage.
+// Functions are processed over the worker pool with findings and stats
+// merged in module function order, so the output is worker-count
+// independent like every other stage. The stage is a no-op unless
+// Options.VSA was set.
 func (p *Pipeline) RefineVSA() error {
 	if !p.VSA {
 		return nil
@@ -678,9 +686,11 @@ func (p *Pipeline) RefineVSA() error {
 	funcs := p.Mod.Funcs
 	stats := make([]VSAStat, len(funcs))
 	reps := make([]analysis.Report, len(funcs))
+	results := make([]*vsa.FuncResult, len(funcs))
 	par.ForEach(p.jobs(), len(funcs), func(i int) error {
 		f := funcs[i]
 		fr := vsa.Analyze(f)
+		results[i] = fr
 		st := vsa.Check(fr, &reps[i])
 		stats[i] = VSAStat{
 			Func:    f.Name,
@@ -690,6 +700,7 @@ func (p *Pipeline) RefineVSA() error {
 		return nil
 	})
 	p.VSAStats = stats
+	p.vsaResults = results
 	if p.Lint == LintOff {
 		return nil
 	}
@@ -703,7 +714,9 @@ func (p *Pipeline) RefineVSA() error {
 
 // Oracle builds the optimizer's per-function alias-oracle factory from the
 // pipeline's VSA setting: non-nil only when the stage is enabled, so
-// callers can pass it to opt.PipelineOpts unconditionally.
+// callers can pass it to opt.PipelineOpts unconditionally. Each call runs
+// a fresh fixpoint on the function's current IR; the optimizer calls it
+// only for functions its passes changed since the last call.
 func (p *Pipeline) Oracle() func(*ir.Func) opt.AliasOracle {
 	if !p.VSA {
 		return nil

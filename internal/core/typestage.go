@@ -1,29 +1,42 @@
 package core
 
 import (
+	"time"
+
 	"wytiwyg/internal/analysis"
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/opt"
 	"wytiwyg/internal/par"
 	"wytiwyg/internal/typerec"
+	"wytiwyg/internal/vsa"
 )
 
 // RefineTypes runs the type-recovery stage: every function's frame slots
 // get a type inferred from access widths and strided-interval facts
 // (per-function, over the worker pool, results landing in module function
-// order), then a single sequential unification pass propagates evidence
-// across call boundaries. The typed layout, report and per-function stats
-// are recorded on the pipeline; with linting enabled, every
-// irreconcilable-evidence event becomes a typed-conflict warning. The
-// stage is a no-op unless Options.Types was set.
+// order) on the function's VSA fixpoint — the vsa stage's when it ran,
+// else computed here, once per function — then a single sequential
+// unification pass propagates evidence across call boundaries. The typed
+// layout, report and per-function stats are recorded on the pipeline;
+// with linting enabled, every irreconcilable-evidence event becomes a
+// typed-conflict warning. The stage is a no-op unless Options.Types was
+// set.
 func (p *Pipeline) RefineTypes() error {
 	if !p.Types {
 		return nil
 	}
 	funcs := p.Mod.Funcs
 	results := make([]*typerec.FuncResult, len(funcs))
+	fixElapsed := make([]time.Duration, len(funcs))
 	par.ForEach(p.jobs(), len(funcs), func(i int) error {
-		results[i] = typerec.AnalyzeFunc(funcs[i])
+		var fix *vsa.FuncResult
+		if p.vsaResults != nil {
+			fix = p.vsaResults[i]
+		} else {
+			fix = vsa.Analyze(funcs[i])
+			fixElapsed[i] = fix.Elapsed
+		}
+		results[i] = typerec.AnalyzeFunc(fix)
 		return nil
 	})
 	// Unification is deterministic (module/alloca order) and cheap; it
@@ -34,7 +47,7 @@ func (p *Pipeline) RefineTypes() error {
 	stats := make([]TypeStat, len(results))
 	for i, r := range results {
 		p.typeResults[r.Fn()] = r
-		st := TypeStat{Func: r.Fn().Name, Elapsed: r.Elapsed, Conflicts: len(r.Conflicts)}
+		st := TypeStat{Func: r.Fn().Name, Elapsed: fixElapsed[i] + r.Elapsed, Conflicts: len(r.Conflicts)}
 		for _, v := range r.LayoutSlots() {
 			st.Slots++
 			if v.Type.Committed() {

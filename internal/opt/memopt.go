@@ -346,9 +346,11 @@ type PipelineOpts struct {
 	NoMem2Reg bool // skip stack-slot promotion
 	NoMemOpt  bool // skip store-to-load forwarding and dead-store removal
 	NoLICM    bool // skip loop-invariant code motion
-	// Oracle, when non-nil, builds a per-function alias oracle each round.
-	// It is a factory rather than a fixed oracle because every round
-	// rewrites the IR the oracle's facts are keyed on.
+	// Oracle, when non-nil, builds a per-function alias oracle. It is a
+	// factory rather than a fixed oracle because the passes rewrite the IR
+	// the oracle's facts are keyed on: the optimizer keeps each function's
+	// oracle and calls the factory again only after a pass reported a
+	// change to that function.
 	Oracle func(*ir.Func) AliasOracle
 	// Typed, when non-nil, supplies the per-function typed-slot partition
 	// consumed by SplitSlots. Returning a nil TypedInfo skips the
@@ -381,11 +383,30 @@ func PipelineWithDebug(m *ir.Module, o PipelineOpts, check func(pass string) err
 		}
 		return check(pass)
 	}
+	// The VSA oracle of a function is rebuilt only when a pass changed the
+	// function since the cached one was built: a fixpoint over unchanged
+	// IR would give the same answers.
+	oracles := map[*ir.Func]AliasOracle{}
+	oracle := func(f *ir.Func) AliasOracle {
+		orc, ok := oracles[f]
+		if !ok {
+			orc = o.Oracle(f)
+			oracles[f] = orc
+		}
+		return orc
+	}
+	// touched drops f's cached oracle when a pass reports n > 0 changes.
+	touched := func(f *ir.Func, n int) int {
+		if n > 0 {
+			delete(oracles, f)
+		}
+		return n
+	}
 	for round := 0; round < 8; round++ {
 		changed := 0
 		if o.Typed != nil {
 			for _, f := range m.Funcs {
-				changed += SplitSlots(f, o.Typed(f))
+				changed += touched(f, SplitSlots(f, o.Typed(f)))
 			}
 			if err := step("split"); err != nil {
 				return promoted, err
@@ -393,47 +414,54 @@ func PipelineWithDebug(m *ir.Module, o PipelineOpts, check func(pass string) err
 		}
 		if !o.NoMem2Reg {
 			for _, f := range m.Funcs {
-				changed += Mem2RegLog(f, promoted)
+				changed += touched(f, Mem2RegLog(f, promoted))
 			}
 			if err := step("mem2reg"); err != nil {
 				return promoted, err
 			}
 		}
-		changed += FoldModule(m)
+		for _, f := range m.Funcs {
+			changed += touched(f, FoldConstants(f))
+		}
 		if err := step("fold"); err != nil {
 			return promoted, err
 		}
 		if !o.NoLICM {
-			changed += LICMModule(m)
+			for _, f := range m.Funcs {
+				changed += touched(f, LICM(f))
+			}
 			if err := step("licm"); err != nil {
 				return promoted, err
 			}
 		}
 		if o.Oracle != nil {
 			for _, f := range m.Funcs {
-				orc := o.Oracle(f)
-				changed += ResolveAddrs(f, orc)
-				changed += ForwardStores(f, orc)
+				orc := oracle(f)
+				n := ResolveAddrs(f, orc)
+				n += ForwardStores(f, orc)
+				changed += touched(f, n)
 			}
 			if err := step("vsa"); err != nil {
 				return promoted, err
 			}
 		}
 		for _, f := range m.Funcs {
-			changed += CSE(f)
+			changed += touched(f, CSE(f))
 			if !o.NoMemOpt {
 				var orc AliasOracle
 				if o.Oracle != nil {
-					orc = o.Oracle(f)
+					orc = oracle(f)
 				}
-				changed += MemOptWith(f, orc)
-				changed += DSEGlobal(f)
+				changed += touched(f, MemOptWith(f, orc))
+				changed += touched(f, DSEGlobal(f))
 			}
 			if SimplifyCFG(f) {
-				changed++
+				changed += touched(f, 1)
 			}
-			changed += DCE(f)
-			RemoveDeadAllocas(f)
+			changed += touched(f, DCE(f))
+			// Removing a dead alloca changes the IR the oracle was built
+			// on but, as before, does not by itself force another round.
+			touched(f, RemoveDeadAllocas(f))
 		}
 		if err := step("local"); err != nil {
 			return promoted, err

@@ -1,11 +1,18 @@
 package opt_test
 
 import (
+	"fmt"
 	"testing"
 
+	"wytiwyg/internal/bench"
+	"wytiwyg/internal/bench/progs"
+	"wytiwyg/internal/core"
 	"wytiwyg/internal/ir"
 	"wytiwyg/internal/isa"
 	"wytiwyg/internal/layout"
+	"wytiwyg/internal/machine"
+	"wytiwyg/internal/minicc/gen"
+	"wytiwyg/internal/obj"
 	"wytiwyg/internal/opt"
 	"wytiwyg/internal/vsa"
 )
@@ -224,4 +231,203 @@ func TestMemOptOracleSurvivesIndirectStore(t *testing.T) {
 	if ret2.Args[0] != five2 {
 		t.Errorf("oracle MemOpt did not forward: ret %v, want the stored 5", ret2.Args[0])
 	}
+}
+
+// lateQuery builds a function whose decisive oracle query is about a
+// value no oracle built in the first round knows: slot s holds &a or &b
+// depending on a branch, but a dead derived address keeps mem2reg off it
+// until fold and DCE have run, so its phi only appears in round two —
+// together with the straight-line block (merged by SimplifyCFG in round
+// one) in which forwarding c's store past the store through that phi
+// needs the oracle, since c escapes.
+//
+//	entry: sink(c); t = s+0 (dead); br cond
+//	B1:    *s = &a        B2: *s = &b
+//	B3:    p = *s; *c = 1; jmp B4
+//	B4:    *p = 5; return *c
+func lateQuery() *ir.Module {
+	m := ir.NewModule("t")
+	f := m.NewFunc("f", 0x1000)
+	f.NumRet = 1
+	entry := f.NewBlock(0)
+	m.Entry = f
+	b1, b2, b3, b4 := f.NewBlock(0), f.NewBlock(0), f.NewBlock(0), f.NewBlock(0)
+	vedge(entry, b1)
+	vedge(entry, b2)
+	vedge(b1, b3)
+	vedge(b2, b3)
+	vedge(b3, b4)
+
+	cond := f.NewParam(isa.EAX, "cond")
+	a := valloca(f, entry, "a", 4, -16)
+	bb := valloca(f, entry, "b", 4, -12)
+	c := valloca(f, entry, "c", 4, -8)
+	s := valloca(f, entry, "s", 4, -4)
+	sink := f.NewValue(ir.OpCallExt, c)
+	sink.Sym = "sink"
+	entry.Append(sink)
+	entry.Append(f.NewValue(ir.OpAdd, s, konst(f, entry, 0)))
+	entry.Append(f.NewValue(ir.OpBr, cond))
+
+	store4(f, b1, s, a)
+	b1.Append(f.NewValue(ir.OpJmp))
+	store4(f, b2, s, bb)
+	b2.Append(f.NewValue(ir.OpJmp))
+
+	p := load4(f, b3, s)
+	store4(f, b3, c, konst(f, b3, 1))
+	b3.Append(f.NewValue(ir.OpJmp))
+
+	store4(f, b4, p, konst(f, b4, 5))
+	x := load4(f, b4, c)
+	b4.Append(f.NewValue(ir.OpRet, x))
+	return m
+}
+
+// checkedOracles is an oracle factory for the reuse soundness test: each
+// oracle it hands out answers every query twice — from itself (possibly
+// reused by the optimizer across passes) and from a fresh fixpoint over
+// the function's IR as it is at query time — and reports any difference.
+type checkedOracles struct {
+	t     *testing.T
+	name  string
+	calls int
+	// fresh memoizes the fresh oracle per printed function, so repeated
+	// queries against unchanged IR share one fixpoint.
+	fresh map[string]*vsa.Oracle
+	diffs int
+}
+
+func (c *checkedOracles) factory(f *ir.Func) opt.AliasOracle {
+	c.calls++
+	return &checkedOracle{c: c, f: f, orc: vsa.NewOracle(f)}
+}
+
+func (c *checkedOracles) current(f *ir.Func) *vsa.Oracle {
+	key := f.String()
+	o, ok := c.fresh[key]
+	if !ok {
+		o = vsa.NewOracle(f)
+		c.fresh[key] = o
+	}
+	return o
+}
+
+func (c *checkedOracles) mismatch(f *ir.Func, query string, got, want any) {
+	c.diffs++
+	if c.diffs <= 5 {
+		c.t.Errorf("%s: %s: %s = %v from the kept oracle, %v from a fresh one",
+			c.name, f.Name, query, got, want)
+	}
+}
+
+type checkedOracle struct {
+	c   *checkedOracles
+	f   *ir.Func
+	orc *vsa.Oracle
+}
+
+func (o *checkedOracle) MustNotAlias(a *ir.Value, szA int64, b *ir.Value, szB int64) bool {
+	got := o.orc.MustNotAlias(a, szA, b, szB)
+	if want := o.c.current(o.f).MustNotAlias(a, szA, b, szB); got != want {
+		o.c.mismatch(o.f, fmt.Sprintf("MustNotAlias(%s, %s)", a, b), got, want)
+	}
+	return got
+}
+
+func (o *checkedOracle) PointsToFrameSlot(p *ir.Value) (*ir.Value, int64, bool) {
+	a, off, ok := o.orc.PointsToFrameSlot(p)
+	wa, woff, wok := o.c.current(o.f).PointsToFrameSlot(p)
+	if a != wa || off != woff || ok != wok {
+		o.c.mismatch(o.f, fmt.Sprintf("PointsToFrameSlot(%s)", p),
+			fmt.Sprint(a, off, ok), fmt.Sprint(wa, woff, wok))
+	}
+	return a, off, ok
+}
+
+func (o *checkedOracle) MayTouchSlot(p *ir.Value, sz int64, alloca *ir.Value, off, width int64) bool {
+	got := o.orc.MayTouchSlot(p, sz, alloca, off, width)
+	if want := o.c.current(o.f).MayTouchSlot(p, sz, alloca, off, width); got != want {
+		o.c.mismatch(o.f, fmt.Sprintf("MayTouchSlot(%s, %s+%d)", p, alloca, off), got, want)
+	}
+	return got
+}
+
+// optimizeChecked optimizes m with the checking factory and returns how
+// many oracles were built and how many the old schedule — two per
+// function per round — would have built.
+func optimizeChecked(t *testing.T, name string, m *ir.Module, typed func(*ir.Func) opt.TypedInfo) (calls, old int) {
+	t.Helper()
+	c := &checkedOracles{t: t, name: name, fresh: map[string]*vsa.Oracle{}}
+	rounds := 0
+	_, err := opt.PipelineWithDebug(m, opt.PipelineOpts{Oracle: c.factory, Typed: typed},
+		func(pass string) error {
+			if pass == "local" {
+				rounds++
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("%s: optimize: %v", name, err)
+	}
+	return c.calls, 2 * len(m.Funcs) * rounds
+}
+
+// refineForReuse refines one binary under -vsa -types and optimizes it
+// with the checking factory (see optimizeChecked).
+func refineForReuse(t *testing.T, name string, img *obj.Image, inputs []machine.Input) (calls, old int) {
+	t.Helper()
+	p, err := core.LiftBinaryOpts(img, inputs, core.Options{Jobs: 1, VSA: true, Types: true})
+	if err != nil {
+		t.Fatalf("%s: lift: %v", name, err)
+	}
+	if err := p.Refine(); err != nil {
+		t.Fatalf("%s: refine: %v", name, err)
+	}
+	return optimizeChecked(t, name, p.Mod, p.TypedInfo())
+}
+
+// TestOracleReuseSound pins the optimizer's oracle cache: an oracle kept
+// across passes must answer every query exactly as a fresh fixpoint over
+// the current IR would — on the pointer-table pattern, where the oracle's
+// rewrites change the IR round after round, on the benchmark corpus and on
+// the random programs of the VSA differential — and reuse must save
+// factory calls against the two per function per round the optimizer used
+// to make.
+func TestOracleReuseSound(t *testing.T) {
+	corpus := progs.All
+	seeds := int64(12)
+	if testing.Short() {
+		corpus, seeds = corpus[:3], 4
+	}
+	m, _ := pointerTable()
+	calls, old := optimizeChecked(t, "pointer table", m, nil)
+	late := lateQuery()
+	c, o := optimizeChecked(t, "late query", late, nil)
+	calls, old = calls+c, old+o
+	if n := countLoads(late.Funcs[0]); n != 0 {
+		t.Errorf("late query: %d load(s) left, want c's load forwarded:\n%s", n, late.Funcs[0])
+	}
+	for _, p := range corpus {
+		p := bench.Scaled(p, 3)
+		img, err := gen.Build(p.Src, gen.GCC12O3, p.Name)
+		if err != nil {
+			t.Fatalf("%s: build: %v", p.Name, err)
+		}
+		c, o := refineForReuse(t, p.Name, img, p.Inputs())
+		calls, old = calls+c, old+o
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		prof := gen.Profiles[int(seed)%len(gen.Profiles)]
+		img, err := gen.Build(bench.RandomProgram(seed), prof, "vsafuzz")
+		if err != nil {
+			t.Fatalf("seed %d: compile (%s): %v", seed, prof.Name, err)
+		}
+		c, o := refineForReuse(t, fmt.Sprintf("seed %d", seed), img, nil)
+		calls, old = calls+c, old+o
+	}
+	if calls >= old {
+		t.Errorf("optimizer built %d oracles, no fewer than the %d of two per function per round", calls, old)
+	}
+	t.Logf("oracles built: %d (two per function per round: %d)", calls, old)
 }

@@ -1,6 +1,7 @@
 package vsa
 
 import (
+	"math/bits"
 	"time"
 
 	"wytiwyg/internal/analysis"
@@ -19,18 +20,64 @@ type aloc struct {
 }
 
 // state is the abstract machine state at a program point: the value set
-// of every SSA value evaluated so far (missing = bottom, the optimistic
-// initial value) and the abstract store (nil map = bottom; a missing key
-// in a non-nil map = Top, so joins intersect key sets).
+// of every SSA value evaluated so far and the abstract store. The env is
+// a slice indexed by Value.Slot() with a presence bit per slot (a missing
+// slot is bottom, the optimistic initial value; absent slots hold the
+// zero ValueSet); a nil env is the empty one. In the store a nil map is
+// bottom and a missing key in a non-nil map is Top, so joins intersect
+// key sets.
 type state struct {
-	env map[*ir.Value]ValueSet
+	env []ValueSet
+	has []uint64
 	mem map[aloc]ValueSet
 }
 
+// solver is the per-function context of one fixpoint: the slot → value
+// table that validates env lookups (a value another function owns, or one
+// no block holds, reads as missing exactly like an absent map key) and
+// the syntactic escape set used for call clobbering.
+type solver struct {
+	owner []*ir.Value
+	esc   map[*ir.Value]bool
+}
+
+// slot returns v's env index, or -1 when v is not one of the function's
+// values.
+func (sol *solver) slot(v *ir.Value) int {
+	if s := v.Slot(); s >= 0 && s < len(sol.owner) && sol.owner[s] == v {
+		return s
+	}
+	return -1
+}
+
+// get returns v's value set and whether it is present in st.
+func (sol *solver) get(st *state, v *ir.Value) (ValueSet, bool) {
+	s := sol.slot(v)
+	if s < 0 || st.env == nil || st.has[s>>6]&(1<<(s&63)) == 0 {
+		return ValueSet{}, false
+	}
+	return st.env[s], true
+}
+
+// set records v's value set in st.
+func (sol *solver) set(st *state, v *ir.Value, vs ValueSet) {
+	s := sol.slot(v)
+	if s < 0 {
+		return
+	}
+	if st.env == nil {
+		st.env = make([]ValueSet, len(sol.owner))
+		st.has = make([]uint64, (len(sol.owner)+63)/64)
+	}
+	st.env[s] = vs
+	st.has[s>>6] |= 1 << (s & 63)
+}
+
 func cloneState(s state) state {
-	out := state{env: make(map[*ir.Value]ValueSet, len(s.env))}
-	for k, v := range s.env {
-		out.env[k] = v
+	var out state
+	if s.env != nil {
+		out.env = append([]ValueSet(nil), s.env...)
+		out.has = append([]uint64(nil), s.has...)
 	}
 	if s.mem != nil {
 		out.mem = make(map[aloc]ValueSet, len(s.mem))
@@ -43,17 +90,34 @@ func cloneState(s state) state {
 
 func joinState(dst, src state) (state, bool) {
 	changed := false
-	for k, sv := range src.env {
-		dv, ok := dst.env[k]
-		if !ok {
-			dst.env[k] = sv
-			changed = true
-			continue
+	switch {
+	case src.env == nil:
+		// Empty env contributes nothing.
+	case dst.env == nil:
+		for _, w := range src.has {
+			if w != 0 {
+				changed = true
+				break
+			}
 		}
-		nv := dv.Join(sv)
-		if !nv.Eq(dv) {
-			dst.env[k] = nv
-			changed = true
+		dst.env = append([]ValueSet(nil), src.env...)
+		dst.has = append([]uint64(nil), src.has...)
+	default:
+		for w, word := range src.has {
+			for word != 0 {
+				bit := word & -word
+				word &^= bit
+				i := w<<6 + bits.TrailingZeros64(bit)
+				switch {
+				case dst.has[w]&bit == 0:
+					dst.env[i] = src.env[i]
+					dst.has[w] |= bit
+					changed = true
+				case !src.env[i].leq(dst.env[i]):
+					dst.env[i] = dst.env[i].Join(src.env[i])
+					changed = true
+				}
+			}
 		}
 	}
 	switch {
@@ -73,9 +137,8 @@ func joinState(dst, src state) (state, bool) {
 				changed = true
 				continue
 			}
-			nv := dv.Join(sv)
-			if !nv.Eq(dv) {
-				dst.mem[k] = nv
+			if !sv.leq(dv) {
+				dst.mem[k] = dv.Join(sv)
 				changed = true
 			}
 		}
@@ -84,9 +147,14 @@ func joinState(dst, src state) (state, bool) {
 }
 
 func widenState(prev, next state) state {
-	for k, nv := range next.env {
-		if pv, ok := prev.env[k]; ok {
-			next.env[k] = nv.WidenFrom(pv)
+	if prev.env != nil && next.env != nil {
+		for w, word := range next.has {
+			word &= prev.has[w]
+			for word != 0 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				next.env[i] = next.env[i].WidenFrom(prev.env[i])
+			}
 		}
 	}
 	for k, nv := range next.mem {
@@ -107,9 +175,9 @@ func accSize(v *ir.Value) int64 {
 }
 
 // evalValue computes the value set of one non-memory instruction.
-func evalValue(v *ir.Value, env map[*ir.Value]ValueSet) ValueSet {
+func (sol *solver) evalValue(v *ir.Value, st *state) ValueSet {
 	get := func(a *ir.Value) ValueSet {
-		if vs, ok := env[a]; ok {
+		if vs, ok := sol.get(st, a); ok {
 			return vs
 		}
 		return TopVS
@@ -183,7 +251,7 @@ func evalValue(v *ir.Value, env map[*ir.Value]ValueSet) ValueSet {
 			if a == v {
 				continue
 			}
-			av, ok := env[a]
+			av, ok := sol.get(st, a)
 			if !ok {
 				continue // bottom: optimistic, resolved by reiteration
 			}
@@ -290,30 +358,27 @@ func (fr *FuncResult) ValueSetOf(v *ir.Value) ValueSet {
 
 // transfer interprets one block: phis, then instructions in order, with
 // loads reading and stores updating the abstract store.
-func transfer(b *ir.Block, st state, esc map[*ir.Value]bool, hook func(v *ir.Value, st state)) state {
+func (sol *solver) transfer(b *ir.Block, st state) state {
 	if st.mem == nil {
 		st.mem = make(map[aloc]ValueSet) // bottom store: treat as all-Top
 	}
 	for _, v := range b.Phis {
-		st.env[v] = evalValue(v, st.env)
+		sol.set(&st, v, sol.evalValue(v, &st))
 	}
 	for _, v := range b.Insts {
-		if hook != nil {
-			hook(v, st)
-		}
 		switch v.Op {
 		case ir.OpLoad:
-			st.env[v] = loadCell(st, v)
+			sol.set(&st, v, sol.loadCell(&st, v))
 		case ir.OpStore:
-			storeCell(st, v)
+			sol.storeCell(&st, v)
 		case ir.OpCall, ir.OpCallInd, ir.OpCallExt, ir.OpCallExtRaw:
-			clobberCall(st, esc)
+			clobberCall(st, sol.esc)
 			if v.Op.HasResult() {
-				st.env[v] = evalValue(v, st.env)
+				sol.set(&st, v, sol.evalValue(v, &st))
 			}
 		default:
 			if v.Op.HasResult() {
-				st.env[v] = evalValue(v, st.env)
+				sol.set(&st, v, sol.evalValue(v, &st))
 			}
 		}
 	}
@@ -322,8 +387,8 @@ func transfer(b *ir.Block, st state, esc map[*ir.Value]bool, hook func(v *ir.Val
 
 // loadCell reads the abstract store: only an address proven to be exactly
 // one non-heap cell yields a tracked value; everything else is Top.
-func loadCell(st state, v *ir.Value) ValueSet {
-	addr, ok := st.env[v.Args[0]]
+func (sol *solver) loadCell(st *state, v *ir.Value) ValueSet {
+	addr, ok := sol.get(st, v.Args[0])
 	if !ok || addr.top || len(addr.parts) != 1 {
 		return TopVS
 	}
@@ -347,8 +412,8 @@ func loadCell(st state, v *ir.Value) ValueSet {
 // isa.HeapBase may hit native frame or heap storage, so it clobbers
 // those cells too — and a frame store clobbers numeric cells living at
 // such unproven addresses.
-func storeCell(st state, v *ir.Value) {
-	addr, ok := st.env[v.Args[0]]
+func (sol *solver) storeCell(st *state, v *ir.Value) {
+	addr, ok := sol.get(st, v.Args[0])
 	size := accSize(v)
 	if !ok || addr.top || addr.IsBottom() {
 		for k := range st.mem {
@@ -357,7 +422,7 @@ func storeCell(st state, v *ir.Value) {
 		return
 	}
 	val := TopVS
-	if sv, ok := st.env[v.Args[1]]; ok {
+	if sv, ok := sol.get(st, v.Args[1]); ok {
 		val = sv
 	}
 	if r, s, one := singleCell(addr); one {
@@ -432,16 +497,27 @@ func clobberCall(st state, esc map[*ir.Value]bool) {
 }
 
 // Analyze runs the value-set analysis to a fixpoint over one function.
+// The env is indexed by the dense value slots, so a stale layout (values
+// added since the last EnsureLayout) is recomputed first.
 func Analyze(f *ir.Func) *FuncResult {
 	start := time.Now()
-	esc := analysis.Escapes(f)
+	f.EnsureLayout()
+	sol := &solver{owner: make([]*ir.Value, f.Layout().NumSlots), esc: analysis.Escapes(f)}
+	for _, b := range f.Blocks {
+		for _, v := range b.Phis {
+			sol.owner[v.Slot()] = v
+		}
+		for _, v := range b.Insts {
+			sol.owner[v.Slot()] = v
+		}
+	}
 	prob := analysis.Problem[state]{
 		Forward:  true,
-		Boundary: func(*ir.Func) state { return state{env: map[*ir.Value]ValueSet{}, mem: map[aloc]ValueSet{}} },
-		Bottom:   func() state { return state{env: map[*ir.Value]ValueSet{}} },
+		Boundary: func(*ir.Func) state { return state{mem: map[aloc]ValueSet{}} },
+		Bottom:   func() state { return state{} },
 		Join:     joinState,
 		Clone:    cloneState,
-		Transfer: func(b *ir.Block, in state) state { return transfer(b, in, esc, nil) },
+		Transfer: sol.transfer,
 		Widen:    widenState,
 	}
 	res := analysis.Solve(f, prob)
@@ -452,17 +528,17 @@ func Analyze(f *ir.Func) *FuncResult {
 			continue
 		}
 		for _, v := range b.Phis {
-			if vs, ok := out.env[v]; ok {
+			if vs, ok := sol.get(&out, v); ok {
 				vals[v] = vs
 			}
 		}
 		for _, v := range b.Insts {
-			if vs, ok := out.env[v]; ok && v.Op.HasResult() {
+			if vs, ok := sol.get(&out, v); ok && v.Op.HasResult() {
 				vals[v] = vs
 			}
 		}
 	}
-	fr := &FuncResult{fn: f, vals: vals, escaped: esc}
+	fr := &FuncResult{fn: f, vals: vals, escaped: sol.esc}
 	fr.Elapsed = time.Since(start)
 	return fr
 }

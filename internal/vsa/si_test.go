@@ -113,28 +113,37 @@ func TestSIWrapNoFalseDisjoint(t *testing.T) {
 	}
 }
 
-// TestSIDisjointSound enumerates small concrete sets and verifies every
-// "disjoint" verdict against brute-force byte overlap under 32-bit
-// wrapping addresses.
-func TestSIDisjointSound(t *testing.T) {
-	type set struct {
-		si    SI
-		elems []int64
-	}
-	var sets []set
+// siSample is one small strided interval with its concrete members.
+type siSample struct {
+	si    SI
+	elems []int64
+}
+
+// sampleSIs enumerates small strided intervals — singletons and 3- and
+// 5-element spans at several anchors and strides, including negative
+// offsets — with their concrete members.
+func sampleSIs() []siSample {
+	var sets []siSample
 	for _, lo := range []int64{-8, -2, 0, 1, 4, 6} {
 		for _, stride := range []int64{1, 2, 3, 4, 8} {
 			for _, n := range []int64{1, 3, 5} {
 				hi := lo + stride*(n-1)
-				si := SpanSI(lo, hi, stride)
 				var elems []int64
 				for x := lo; x <= hi; x += stride {
 					elems = append(elems, x)
 				}
-				sets = append(sets, set{si, elems})
+				sets = append(sets, siSample{SpanSI(lo, hi, stride), elems})
 			}
 		}
 	}
+	return sets
+}
+
+// TestSIDisjointSound enumerates small concrete sets and verifies every
+// "disjoint" verdict against brute-force byte overlap under 32-bit
+// wrapping addresses.
+func TestSIDisjointSound(t *testing.T) {
+	sets := sampleSIs()
 	bytes := func(x, sz int64) map[uint32]bool {
 		out := map[uint32]bool{}
 		for i := int64(0); i < sz; i++ {

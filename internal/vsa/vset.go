@@ -205,10 +205,44 @@ func (v ValueSet) Join(o ValueSet) ValueSet {
 	return out
 }
 
+// leq reports v ⊑ o exactly as o.Join(v).Eq(o) would — joining v into o
+// leaves o unchanged — without allocating the join. It is the fixpoint's
+// "did this edge add anything" test.
+func (v ValueSet) leq(o ValueSet) bool {
+	switch {
+	case o.top:
+		return true
+	case v.top:
+		return false
+	case len(v.parts) == 0:
+		return true
+	case len(o.parts) == 0:
+		return false
+	}
+	for r, s := range v.parts {
+		if os, ok := o.parts[r]; !ok || os.Join(s) != os {
+			return false
+		}
+	}
+	return true
+}
+
 // WidenFrom widens every region that grew since prev to infinite bounds
-// (keeping strides); regions absent from prev are left as joined.
+// (keeping strides); regions absent from prev are left as joined. When no
+// region grew the receiver itself is returned (value sets are never
+// mutated once built, so sharing it is safe).
 func (v ValueSet) WidenFrom(prev ValueSet) ValueSet {
 	if v.top || prev.top {
+		return v
+	}
+	grew := false
+	for r, s := range v.parts {
+		if ps, ok := prev.parts[r]; ok && s != ps {
+			grew = true
+			break
+		}
+	}
+	if !grew {
 		return v
 	}
 	out := v.clone()
