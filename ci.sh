@@ -48,11 +48,15 @@ step "wytiwyg lint (benchmark corpus)" sh -c '
 step "examples" check_examples
 
 # Superblock differential under the race detector: the full corpus compared
-# between superblock and per-instruction dispatch, all hook configurations.
-# The corpus/random-IR differentials skip under -short, so the blanket
-# `go test -race -short` above does not duplicate this step.
-step "superblock differential (-race)" \
-    go test -race -run 'TestSuperblock|TestStepInterleavesWithRun' -count=1 ./internal/machine/
+# between superblock and per-instruction dispatch, with and without the
+# transfer hook; then the tracer's coverage differential, which checks the
+# executed set derived from transfers against a per-instruction Step loop
+# over the corpus x 4 profiles, the random-IR programs and every halt shape.
+# The machine's corpus/random-IR differentials skip under -short, so the
+# blanket `go test -race -short` above does not duplicate this step.
+step "superblock differential (-race)" sh -c '
+    go test -race -run "TestSuperblock|TestStepInterleavesWithRun" -count=1 ./internal/machine/ &&
+    go test -race -run TestTraceCoverage -count=1 ./internal/tracer/'
 
 # Bench smoke: one iteration of every interpreter/emulator micro-benchmark.
 # Catches benchmarks that stop compiling or crash. The smoke numbers go to

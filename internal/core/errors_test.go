@@ -75,3 +75,34 @@ main:
 		}
 	}
 }
+
+// The varargs stage applies the call-site counts RefineRegSave's runs
+// observed; called first, it has none and must say so instead of failing
+// every raw call site as unobserved.
+func TestRefineVarArgsNeedsRegSave(t *testing.T) {
+	img, err := asm.Assemble("printer", `
+main:
+    pushi 7
+    call @putint
+    addi esp, 4
+    pushi 0
+    call @exit
+    halt
+`, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.LiftBinary(img, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RefineVarArgs(); err == nil || !strings.Contains(err.Error(), "RefineRegSave") {
+		t.Errorf("RefineVarArgs before RefineRegSave: err = %v, want an ordering error", err)
+	}
+	if err := p.RefineRegSave(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RefineVarArgs(); err != nil {
+		t.Errorf("RefineVarArgs after RefineRegSave: %v", err)
+	}
+}

@@ -26,7 +26,7 @@ var updateGolden = flag.Bool("update-golden", false,
 // the options the pipeline runs under.
 type goldenCase struct {
 	prog   string
-	inputs func(p progs.Program) []machine.Input
+	inputs []machine.Input
 	opts   core.Options
 }
 
@@ -68,7 +68,7 @@ func checkGolden(t *testing.T, file string, cases []goldenCase,
 			if err != nil {
 				t.Fatalf("%s: build: %v", key, err)
 			}
-			pl, err := core.LiftBinaryOpts(img, c.inputs(p), c.opts)
+			pl, err := core.LiftBinaryOpts(img, c.inputs, c.opts)
 			if err != nil {
 				t.Fatalf("%s: lift: %v", key, err)
 			}
@@ -120,9 +120,10 @@ var goldenPrograms = []string{"hmmer", "mcf", "libquantum", "bzip2", "gcc", "xal
 func TestVSAOutputGolden(t *testing.T) {
 	var cases []goldenCase
 	for _, name := range goldenPrograms {
+		p, _ := progs.ByName(name)
 		cases = append(cases, goldenCase{
 			prog:   name,
-			inputs: func(p progs.Program) []machine.Input { return []machine.Input{p.Train} },
+			inputs: []machine.Input{p.Train},
 			opts:   core.Options{Jobs: 1, Lint: core.LintWarn, VSA: true, Types: true},
 		})
 	}
@@ -188,10 +189,9 @@ func traceText(tr *tracer.Trace) string {
 func TestRefineOutputGolden(t *testing.T) {
 	var cases []goldenCase
 	for _, rs := range refineScales {
-		in := []machine.Input{{Ints: []int32{rs.scale}}}
 		cases = append(cases, goldenCase{
 			prog:   rs.prog,
-			inputs: func(progs.Program) []machine.Input { return in },
+			inputs: []machine.Input{{Ints: []int32{rs.scale}}},
 			opts:   core.Options{Jobs: 1, Lint: core.LintWarn},
 		})
 	}

@@ -97,7 +97,10 @@ type Options struct {
 type StageEvent struct {
 	// Stage is the stage name as recorded in Pipeline.Times ("trace",
 	// "cfg", "funcrec", "coldrec", "lift", "regsave", "varargs",
-	// "stackref", "symbolize", "vsa", "typerec").
+	// "stackref", "symbolize", "vsa", "typerec"). The regsave stage's
+	// refinement runs also observe the variadic call sites, so its time
+	// includes that observation and the varargs stage's time is the
+	// rewrite alone.
 	Stage string
 	// Action is "start" or "finish".
 	Action string
@@ -227,6 +230,10 @@ type Pipeline struct {
 	// SPOffsets holds each function's direct stack references after the
 	// stack-reference refinement.
 	SPOffsets map[*ir.Func]stackref.Offsets
+	// varargCounts holds the variadic call-site argument counts observed
+	// during RefineRegSave's runs (nil until it has run); RefineVarArgs
+	// applies them.
+	varargCounts map[*ir.Value]int
 	// VarResult is the raw object-bounds analysis output.
 	VarResult *vartrack.Result
 	// Recovered is the symbolized stack layout (Figure 7's subject).
@@ -345,6 +352,10 @@ type forkable interface {
 	Join(irexec.Tracer)
 }
 
+// binder is implemented by refinement tracers that need interpreter
+// access (memory inspection); runOne binds them before each run.
+type binder interface{ Bind(*irexec.Interp) }
+
 // runAll executes the current module under every input with a tracer
 // attached, discarding program output. Tracers that implement Fork/Join
 // observe each input on a private fork — the forks run concurrently over
@@ -378,6 +389,64 @@ func (p *Pipeline) runAll(tr irexec.Tracer) error {
 	return nil
 }
 
+// fanout attaches several refinement tracers to one interpretation: each
+// event goes to every member in order, and forking and joining apply
+// member-wise. Members share the frames, so at most one of them may keep
+// per-value frame metadata (GetMeta/SetMeta).
+type fanout []forkable
+
+func (f fanout) FnEnter(fr *irexec.Frame) {
+	for _, t := range f {
+		t.FnEnter(fr)
+	}
+}
+
+func (f fanout) FnExit(fr *irexec.Frame, ret *ir.Value, rets []uint32) {
+	for _, t := range f {
+		t.FnExit(fr, ret, rets)
+	}
+}
+
+func (f fanout) Phi(fr *irexec.Frame, phi *ir.Value, incoming *ir.Value, val uint32) {
+	for _, t := range f {
+		t.Phi(fr, phi, incoming, val)
+	}
+}
+
+func (f fanout) CallPre(fr *irexec.Frame, call *ir.Value, args []uint32) {
+	for _, t := range f {
+		t.CallPre(fr, call, args)
+	}
+}
+
+func (f fanout) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
+	for _, t := range f {
+		t.Exec(fr, v, args, res)
+	}
+}
+
+func (f fanout) Fork() irexec.Tracer {
+	subs := make(fanout, len(f))
+	for i, t := range f {
+		subs[i] = t.Fork().(forkable)
+	}
+	return subs
+}
+
+func (f fanout) Join(o irexec.Tracer) {
+	for i, sub := range o.(fanout) {
+		f[i].Join(sub)
+	}
+}
+
+func (f fanout) Bind(ip *irexec.Interp) {
+	for _, t := range f {
+		if b, ok := t.(binder); ok {
+			b.Bind(ip)
+		}
+	}
+}
+
 // runOne executes the module under one input with the given tracer.
 func (p *Pipeline) runOne(i int, tr irexec.Tracer) error {
 	ip, err := irexec.New(p.Mod, p.Inputs[i], io.Discard)
@@ -385,7 +454,7 @@ func (p *Pipeline) runOne(i int, tr irexec.Tracer) error {
 		return fmt.Errorf("core: refinement run, input %d: %w", i, err)
 	}
 	ip.Tr = tr
-	if b, ok := tr.(interface{ Bind(*irexec.Interp) }); ok {
+	if b, ok := tr.(binder); ok {
 		b.Bind(ip)
 	}
 	if _, err := ip.Run(); err != nil {
@@ -395,12 +464,20 @@ func (p *Pipeline) runOne(i int, tr irexec.Tracer) error {
 }
 
 // RefineRegSave runs the saved-register refinement (§4.1): dynamic
-// classification followed by the signature rewrite.
+// classification followed by the signature rewrite. The same refinement
+// runs also observe the variadic call sites for RefineVarArgs (§5.2): the
+// varargs tracer only reads the emulated stack at raw external calls, and
+// the signature rewrite never creates, removes or replaces such a call, so
+// the counts it collects here, keyed by call value, stay valid for the
+// rewritten module. Each input is thus interpreted once for both
+// refinements.
 func (p *Pipeline) RefineRegSave() error {
 	tr := regsave.NewTracer()
-	if err := p.runAll(tr); err != nil {
+	va := varargs.NewTracer()
+	if err := p.runAll(fanout{tr, va}); err != nil {
 		return err
 	}
+	p.varargCounts = va.Counts
 	// Cold functions never execute during refinement runs (the replayed
 	// inputs are exactly the traced ones), so their register classes come
 	// from the static liveness estimate instead of traced evidence.
@@ -417,13 +494,14 @@ func (p *Pipeline) RefineRegSave() error {
 }
 
 // RefineVarArgs recovers exact signatures for variadic library call sites
-// (§5.2) and lifts them to explicit arguments.
+// (§5.2) and lifts them to explicit arguments, from the argument counts
+// RefineRegSave's runs observed; it runs no program itself and fails when
+// RefineRegSave has not run.
 func (p *Pipeline) RefineVarArgs() error {
-	tr := varargs.NewTracer()
-	if err := p.runAll(tr); err != nil {
-		return err
+	if p.varargCounts == nil {
+		return fmt.Errorf("core: varargs: no observed call sites; RefineRegSave must run first")
 	}
-	if err := varargs.Apply(p.Mod, tr.Counts); err != nil {
+	if err := varargs.Apply(p.Mod, p.varargCounts); err != nil {
 		return fmt.Errorf("core: varargs: %w", err)
 	}
 	return nil

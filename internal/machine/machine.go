@@ -74,11 +74,11 @@ type Machine struct {
 	Steps    uint64 // instructions executed
 	MaxSteps uint64 // execution budget; 0 means the default limit
 
-	// Hook, when non-nil, receives every control transfer.
+	// Hook, when non-nil, receives every control transfer. Execution
+	// between two transfers is straight-line, so the transfer stream also
+	// determines every executed instruction (package tracer derives its
+	// coverage from it).
 	Hook func(Transfer)
-	// InstrHook, when non-nil, is called with the PC of every executed
-	// instruction (tracing support).
-	InstrHook func(pc uint32)
 
 	// code is the image's decoded instruction stream; prog, runLen and
 	// runCost are its pre-decoded superblock tables (see superblock.go),
@@ -387,13 +387,12 @@ func (m *Machine) syscall(num int32) error {
 	}
 }
 
-// Run executes until halt or error. Without an instruction hook it uses
-// superblock dispatch (see superblock.go); with InstrHook set — or with
-// NoSuperblocks — it steps per-instruction, so the hook fires at every
-// instruction in program order. Both modes produce identical registers,
-// memory, Steps, Cycles and control-transfer/block event streams.
+// Run executes until halt or error. It uses superblock dispatch (see
+// superblock.go) unless NoSuperblocks is set, in which case it steps
+// per-instruction. Both modes produce identical registers, memory, Steps,
+// Cycles and control-transfer event streams.
 func (m *Machine) Run() error {
-	if m.InstrHook != nil || m.NoSuperblocks {
+	if m.NoSuperblocks {
 		return m.runStepwise()
 	}
 	return m.runSuper()

@@ -19,8 +19,6 @@
 // (JCC/SET) is reached; see the flags type in machine.go.
 //
 // Fallbacks that preserve exact observational equivalence:
-//   - InstrHook set: Run uses the per-instruction Step loop, which fires the
-//     hook at every instruction in order.
 //   - Execution nearing MaxSteps: a superblock whose batch would overshoot
 //     the budget is abandoned and the rest of the run is stepped
 //     per-instruction, so ErrMaxSteps hits at exactly the same instruction.
@@ -288,13 +286,7 @@ func (m *Machine) Step() error {
 		return m.badPC()
 	}
 	m.Steps++
-	// u is resolved before the hook call: prog is immutable after predecode,
-	// and keeping the slice access next to its bounds check above lets the
-	// compiler fold the two and skip re-loading the slice header afterwards.
 	u := &m.prog[i]
-	if m.InstrHook != nil {
-		m.InstrHook(m.pc)
-	}
 	if u.k == uCtl {
 		return m.exec(&m.code[i])
 	}

@@ -3,9 +3,11 @@ package machine_test
 // Differential tests for superblock dispatch (superblock.go): every
 // observable of an execution — final registers, pc, Steps, Cycles, total
 // cycles, exit code, program output, the memory digest, and the exact
-// Transfer/InstrHook event streams — must be identical whether a
-// program runs through Run's superblock path, Run with NoSuperblocks set,
-// or a manual Step loop, with any combination of hooks attached. The
+// Transfer event stream — must be identical whether a program runs
+// through Run's superblock path, Run with NoSuperblocks set, or a manual
+// Step loop, with or without the transfer hook attached. (The
+// per-instruction coverage derived from the transfer stream is checked
+// against a Step loop by the tracer package's coverage differential.) The
 // dispatch switch exists in two deliberate copies (see superblock.go);
 // these tests are the guard that keeps the copies from drifting.
 
@@ -39,23 +41,13 @@ type runState struct {
 	exit      int32
 	digest    [sha256.Size]byte
 	out       string
-	transfers []machine.Transfer
-	pcs       []uint32 // InstrHook stream; nil when the hook was off
+	transfers []machine.Transfer // nil when the hook was off
 }
 
-// hookSet selects which observers a run attaches.
-type hookSet struct {
-	transfer bool
-	instr    bool
-}
-
-func (h hookSet) String() string {
-	return fmt.Sprintf("transfer=%v instr=%v", h.transfer, h.instr)
-}
-
-// runImage executes img on input in the given mode and returns the full
-// observable state. maxSteps overrides the default budget when non-zero.
-func runImage(t *testing.T, img *obj.Image, input machine.Input, noSuper bool, hooks hookSet, maxSteps uint64) runState {
+// runImage executes img on input in the given mode, with the transfer hook
+// attached when hook is set, and returns the full observable state.
+// maxSteps overrides the default budget when non-zero.
+func runImage(t *testing.T, img *obj.Image, input machine.Input, noSuper, hook bool, maxSteps uint64) runState {
 	t.Helper()
 	var out bytes.Buffer
 	m, err := machine.New(img, input, &out)
@@ -67,12 +59,8 @@ func runImage(t *testing.T, img *obj.Image, input machine.Input, noSuper bool, h
 		m.MaxSteps = maxSteps
 	}
 	var st runState
-	if hooks.transfer {
+	if hook {
 		m.Hook = func(tr machine.Transfer) { st.transfers = append(st.transfers, tr) }
-	}
-	if hooks.instr {
-		st.pcs = []uint32{}
-		m.InstrHook = func(pc uint32) { st.pcs = append(st.pcs, pc) }
 	}
 	if err := m.Run(); err != nil {
 		st.errStr = err.Error()
@@ -134,49 +122,25 @@ func diffStates(t *testing.T, label string, ref, got runState) {
 			}
 		}
 	}
-	if ref.pcs != nil && got.pcs != nil {
-		if len(ref.pcs) != len(got.pcs) {
-			t.Fatalf("%s: InstrHook stream lengths differ: ref=%d got=%d", label, len(ref.pcs), len(got.pcs))
-		}
-		for i := range ref.pcs {
-			if ref.pcs[i] != got.pcs[i] {
-				t.Fatalf("%s: InstrHook pc %d differs: ref=0x%x got=0x%x", label, i, ref.pcs[i], got.pcs[i])
-			}
-		}
-	}
 }
 
-// differential runs img on input through every dispatch mode × hook
-// configuration and requires all of them to observe the same execution.
+// differential runs img on input through every dispatch mode, with and
+// without the transfer hook, and requires all of them to observe the same
+// execution.
 func differential(t *testing.T, img *obj.Image, input machine.Input) {
 	t.Helper()
-	allHooks := hookSet{transfer: true, instr: true}
-	// The reference: per-instruction dispatch with every observer attached.
-	ref := runImage(t, img, input, true, allHooks, 0)
-	if ref.instrCount() != ref.steps {
-		t.Errorf("reference: InstrHook fired %d times for %d steps", ref.instrCount(), ref.steps)
-	}
-	configs := []struct {
-		noSuper bool
-		hooks   hookSet
-	}{
-		{false, hookSet{}},               // superblock fast path, no observers
-		{false, hookSet{transfer: true}}, // superblock + transfer hook
-		{false, allHooks},                // InstrHook forces the stepwise fallback
-		{true, hookSet{}},                // per-instruction, no observers
-		{true, hookSet{instr: true}},     // per-instruction + InstrHook
+	// The reference: per-instruction dispatch with the transfer hook.
+	ref := runImage(t, img, input, true, true, 0)
+	configs := []struct{ noSuper, hook bool }{
+		{false, false}, // superblock fast path, no observer
+		{false, true},  // superblock + transfer hook
+		{true, false},  // per-instruction, no observer
 	}
 	for _, c := range configs {
-		label := fmt.Sprintf("noSuper=%v %s", c.noSuper, c.hooks)
-		got := runImage(t, img, input, c.noSuper, c.hooks, 0)
-		diffStates(t, label, ref, got)
-		if got.pcs != nil && uint64(len(got.pcs)) != got.steps {
-			t.Errorf("%s: InstrHook fired %d times for %d steps", label, len(got.pcs), got.steps)
-		}
+		label := fmt.Sprintf("noSuper=%v hook=%v", c.noSuper, c.hook)
+		diffStates(t, label, ref, runImage(t, img, input, c.noSuper, c.hook, 0))
 	}
 }
-
-func (s runState) instrCount() uint64 { return uint64(len(s.pcs)) }
 
 // TestSuperblockDifferentialCorpus runs every bench-corpus program
 // (compiled with the full mini-C pipeline) under superblock and
@@ -276,11 +240,11 @@ func TestSuperblockFaultDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("assemble: %v", err)
 			}
-			ref := runImage(t, img, machine.Input{}, true, hookSet{}, 0)
+			ref := runImage(t, img, machine.Input{}, true, false, 0)
 			if ref.errStr == "" {
 				t.Fatalf("expected the reference run to fault")
 			}
-			got := runImage(t, img, machine.Input{}, false, hookSet{}, 0)
+			got := runImage(t, img, machine.Input{}, false, false, 0)
 			diffStates(t, "superblock", ref, got)
 		})
 	}
@@ -314,8 +278,8 @@ func TestSuperblockMaxStepsParity(t *testing.T) {
 		t.Fatalf("assemble: %v", err)
 	}
 	for budget := uint64(1); budget <= 40; budget++ {
-		ref := runImage(t, img, machine.Input{}, true, hookSet{}, budget)
-		got := runImage(t, img, machine.Input{}, false, hookSet{}, budget)
+		ref := runImage(t, img, machine.Input{}, true, false, budget)
+		got := runImage(t, img, machine.Input{}, false, false, budget)
 		if ref.errStr != machine.ErrMaxSteps.Error() {
 			t.Fatalf("budget %d: reference error = %q, want ErrMaxSteps", budget, ref.errStr)
 		}
@@ -373,7 +337,7 @@ func TestStepInterleavesWithRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	ref := runImage(t, img, p.Train, false, hookSet{}, 0)
+	ref := runImage(t, img, p.Train, false, false, 0)
 	var out bytes.Buffer
 	m, err := machine.New(img, p.Train, &out)
 	if err != nil {

@@ -67,6 +67,8 @@ type symbol struct {
 	reg   isa.Reg
 }
 
+// shadowEntry records a symbol stored to the frame at an address; the zero
+// entry (nil sym) means no symbol is stored there.
 type shadowEntry struct {
 	epoch uint64
 	sym   *symbol
@@ -83,7 +85,7 @@ type Tracer struct {
 	arg      map[fnReg]bool
 	violated map[fnReg]bool
 	forwards map[fnReg]map[fnReg]bool
-	shadow   map[uint32]shadowEntry
+	shadow   irexec.Shadow[shadowEntry]
 }
 
 // NewTracer returns an empty analysis.
@@ -92,7 +94,6 @@ func NewTracer() *Tracer {
 		arg:      make(map[fnReg]bool),
 		violated: make(map[fnReg]bool),
 		forwards: make(map[fnReg]map[fnReg]bool),
-		shadow:   make(map[uint32]shadowEntry),
 	}
 }
 
@@ -210,12 +211,6 @@ func (t *Tracer) inOwnFrame(fr *irexec.Frame, addr uint32) bool {
 	return addr < fr.SP0 && fr.SP0-addr <= frameLimit
 }
 
-func (t *Tracer) invalidateShadow(addr uint32, size uint8) {
-	for a := addr - 3; a != addr+uint32(size); a++ {
-		delete(t.shadow, a)
-	}
-}
-
 // Exec observes one executed instruction.
 func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) {
 	switch v.Op {
@@ -224,10 +219,11 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 			t.markArg(s) // symbol used as an address
 		}
 		addr := args[0]
-		t.invalidateShadow(addr, v.Size)
+		// A store overwrites every 4-byte entry overlapping [addr, addr+size).
+		t.shadow.Clear(addr-3, uint32(v.Size)+3)
 		if s := t.meta(fr, v.Args[1]); s != nil {
 			if t.inOwnFrame(fr, addr) && v.Size == 4 {
-				t.shadow[addr] = shadowEntry{epoch: fr.Epoch, sym: s}
+				t.shadow.Set(addr, shadowEntry{epoch: fr.Epoch, sym: s})
 			} else {
 				t.markArg(s) // written somewhere else
 			}
@@ -236,7 +232,7 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		if s := t.meta(fr, v.Args[0]); s != nil {
 			t.markArg(s)
 		}
-		if e, ok := t.shadow[args[0]]; ok && e.epoch == fr.Epoch && v.Size == 4 {
+		if e := t.shadow.Get(args[0]); e.sym != nil && e.epoch == fr.Epoch && v.Size == 4 {
 			fr.SetMeta(v, e.sym)
 		}
 	case ir.OpCall, ir.OpCallInd:

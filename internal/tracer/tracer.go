@@ -1,6 +1,9 @@
 // Package tracer performs dynamic control-flow recovery: it runs a binary in
-// the emulator under a set of user-provided inputs, recording every executed
-// instruction and every control transfer. This is the reproduction's
+// the emulator under a set of user-provided inputs, recording every control
+// transfer and, from the transfers, every executed instruction: execution
+// between two consecutive transfers is straight-line, so the transfer
+// stream alone determines coverage and the emulator keeps its superblock
+// dispatch while tracing. This is the reproduction's
 // analogue of BinRec's S2E-based binary tracer, including the merge of
 // per-input CFGs into one trace (Figure 4's "Merge CFGs" step).
 package tracer
@@ -20,6 +23,7 @@ import (
 type Trace struct {
 	Img *obj.Image // the traced binary
 	// Executed marks every instruction address that ran under any input.
+	// It is derived from the control transfers (see Run).
 	Executed map[uint32]bool
 	// CallTargets maps a call-site address to the set of observed callee
 	// entry addresses (lifted code only; external calls are not included).
@@ -59,15 +63,51 @@ func addTarget(m map[uint32]map[uint32]bool, from, to uint32) {
 
 // Run executes the binary under one input and merges the observed control
 // flow into the trace. Program output is written to out (may be nil).
+//
+// Coverage comes from the transfer stream: each transfer ends the
+// straight-line segment that began at the previous transfer's destination
+// (or at the entry point), so the hook records the segment [start, From]
+// and the next segment starts at To — or at From+InstrSize after an
+// external call, which returns in place. At halt the final segment runs to
+// the halting instruction, unless that instruction is the external call
+// (exit) the last transfer already closed. Segments are kept per start
+// instruction (a segment's end is the first control instruction at or after
+// its start, so repeats overwrite themselves) and walked into Executed once
+// the run is over. A run that fails leaves t partially updated (the
+// transfers seen before the failure, without their coverage); callers
+// discard such a trace.
 func (t *Trace) Run(input machine.Input, out io.Writer) (machine.Result, error) {
 	m, err := machine.New(t.Img, input, out)
 	if err != nil {
 		return machine.Result{}, err
 	}
-	m.InstrHook = func(pc uint32) { t.Executed[pc] = true }
-	m.Hook = t.addTransfer
+	// ends[i] is one past the end address of the segment starting at
+	// instruction index i, 0 when no segment starts there.
+	ends := make([]uint32, len(t.Img.Code))
+	record := func(start, end uint32) {
+		if i := (start - isa.CodeBase) / isa.InstrSize; i < uint32(len(ends)) {
+			ends[i] = end + 1
+		}
+	}
+	start := t.Img.Entry
+	m.Hook = func(tr machine.Transfer) {
+		t.addTransfer(tr)
+		record(start, tr.From)
+		start = tr.To
+		if tr.Kind == machine.TransferExt {
+			start = tr.From + isa.InstrSize
+		}
+	}
 	if err := m.Run(); err != nil {
 		return machine.Result{}, fmt.Errorf("tracer: %w", err)
+	}
+	if start <= m.PC() {
+		record(start, m.PC())
+	}
+	for i, end := range ends {
+		for a := isa.CodeBase + uint32(i)*isa.InstrSize; a < end; a += isa.InstrSize {
+			t.Executed[a] = true
+		}
 	}
 	t.Inputs++
 	return machine.Result{ExitCode: m.ExitCode(), Cycles: m.TotalCycles(), Steps: m.Steps}, nil

@@ -63,7 +63,11 @@ func (v *StackVar) String() string {
 	return fmt.Sprintf("var%d@%d[%d,%d)", v.ID, v.SPOff, v.Low, v.High)
 }
 
-// PointerInfo associates a runtime value with a stack variable.
+// PointerInfo associates a runtime value with a stack variable. A
+// PointerInfo is never mutated after it is created (bound and alignment
+// updates go to its StackVar), so the tracer shares one value between every
+// execution of a base pointer, every register that copies it and every
+// memory word it is stored to.
 type PointerInfo struct {
 	Var *StackVar // the variable the value points into
 	Off int32     // displacement from the variable's base
@@ -87,9 +91,16 @@ type Tracer struct {
 	ip   *irexec.Interp
 	offs map[*ir.Func]stackref.Offsets
 
-	res     *Result
-	nextID  int
-	addrMap map[uint32]PointerInfo
+	res    *Result
+	nextID int
+	// addrMap records the pointer metadata stored at each address.
+	addrMap irexec.Shadow[*PointerInfo]
+	// refs holds each executed function's direct-reference table (built
+	// once per tracer by refsFor); lastFn/lastRefs memoize the most recent
+	// lookup, since consecutive events mostly come from one function.
+	refs     map[*ir.Func][]directRef
+	lastFn   *ir.Func
+	lastRefs []directRef
 	// order remembers base-pointer values in StackVar allocation order, so
 	// Join can renumber a forked tracer's variables exactly as a sequential
 	// run would have.
@@ -100,6 +111,17 @@ type Tracer struct {
 	// caller's Exec of the call.
 	pending  []pendingCall
 	lastExit *exitRecord
+}
+
+// directRef is one slot of a function's direct-reference table, indexed
+// by Value.Slot(): whether the slot's value is a direct stack reference, its
+// sp0 displacement, and the base pointer's metadata — allocated on the
+// value's first execution, so StackVar IDs follow first-execution order, and
+// shared after that.
+type directRef struct {
+	ok  bool
+	off int32
+	pi  *PointerInfo
 }
 
 type pendingCall struct {
@@ -128,7 +150,7 @@ func NewTracer(offs map[*ir.Func]stackref.Offsets) *Tracer {
 			ByFn:     make(map[*ir.Func][]*StackVar),
 			ArgSlots: make(map[*ir.Func]map[int]bool),
 		},
-		addrMap: make(map[uint32]PointerInfo),
+		refs: make(map[*ir.Func][]directRef),
 	}
 }
 
@@ -212,18 +234,56 @@ func (t *Tracer) setPI(fr *irexec.Frame, v *ir.Value, p *PointerInfo) {
 	fr.SetMeta(v, p)
 }
 
+// refsFor returns fn's direct-reference table (nil when fn has no direct
+// stack references). The table is built on first use by walking fn's live
+// params, phis and instructions and looking each one up in the stackref
+// offsets; the offsets' keys are never used as indexes, because a value
+// removed from the function may keep a stale slot.
+func (t *Tracer) refsFor(fn *ir.Func) []directRef {
+	if fn == t.lastFn {
+		return t.lastRefs
+	}
+	refs, ok := t.refs[fn]
+	if !ok {
+		if offs := t.offs[fn]; len(offs) > 0 {
+			fn.EnsureLayout()
+			refs = make([]directRef, fn.Layout().NumSlots)
+			add := func(v *ir.Value) {
+				if off, ok := offs[v]; ok {
+					refs[v.Slot()] = directRef{ok: true, off: off}
+				}
+			}
+			for _, p := range fn.Params {
+				add(p)
+			}
+			for _, b := range fn.Blocks {
+				for _, v := range b.Phis {
+					add(v)
+				}
+				for _, v := range b.Insts {
+					add(v)
+				}
+			}
+		}
+		t.refs[fn] = refs
+	}
+	t.lastFn, t.lastRefs = fn, refs
+	return refs
+}
+
 // direct returns the base-pointer metadata when v is a direct stack
 // reference of the executing function.
 func (t *Tracer) direct(fr *irexec.Frame, v *ir.Value) *PointerInfo {
-	offs := t.offs[fr.Fn]
-	if offs == nil {
+	refs := t.refsFor(fr.Fn)
+	s := v.Slot()
+	if uint(s) >= uint(len(refs)) || !refs[s].ok {
 		return nil
 	}
-	c, ok := offs[v]
-	if !ok {
-		return nil
+	r := &refs[s]
+	if r.pi == nil {
+		r.pi = &PointerInfo{Var: t.varFor(fr.Fn, v, r.off)}
 	}
-	return &PointerInfo{Var: t.varFor(fr.Fn, v, c), Off: 0}
+	return r.pi
 }
 
 // updateBounds implements the deferred-initialization rules of §4.2.4 for
@@ -239,10 +299,10 @@ func (t *Tracer) link(a, b *StackVar) {
 	t.res.Linked = append(t.res.Linked, [2]*StackVar{a, b})
 }
 
+// invalidate drops the pointer metadata of every 4-byte word a size-byte
+// store at addr overwrites.
 func (t *Tracer) invalidate(addr uint32, size uint8) {
-	for a := addr - 3; a != addr+uint32(size); a++ {
-		delete(t.addrMap, a)
-	}
+	t.addrMap.Clear(addr-3, uint32(size)+3)
 }
 
 // FnEnter binds incoming pointer metadata to parameters; the ESP parameter
@@ -355,8 +415,8 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		if p := t.pi(fr, v.Args[0]); p != nil {
 			t.updateBounds(p, v.Size)
 		}
-		if e, ok := t.addrMap[args[0]]; ok && v.Size == 4 {
-			t.setPI(fr, v, &PointerInfo{Var: e.Var, Off: e.Off})
+		if p := t.addrMap.Get(args[0]); p != nil && v.Size == 4 {
+			t.setPI(fr, v, p)
 		}
 	case ir.OpStore:
 		addr := args[0]
@@ -365,7 +425,7 @@ func (t *Tracer) Exec(fr *irexec.Frame, v *ir.Value, args []uint32, res uint32) 
 		}
 		t.invalidate(addr, v.Size)
 		if p := t.pi(fr, v.Args[1]); p != nil && v.Size == 4 {
-			t.addrMap[addr] = *p
+			t.addrMap.Set(addr, p)
 		}
 	case ir.OpCall, ir.OpCallInd:
 		// The callee has run; attach its returned metadata for extracts.
@@ -473,9 +533,8 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 			if p := argPI(eff.A); p != nil {
 				t.boundRange(p, n)
 			}
-			base := argVal(eff.A)
-			for i := int64(0); i < n; i++ {
-				delete(t.addrMap, base+uint32(i))
+			if n > 0 {
+				t.addrMap.Clear(argVal(eff.A), uint32(n))
 			}
 		case extdb.Copy:
 			var n int64
@@ -493,11 +552,7 @@ func (t *Tracer) extCall(fr *irexec.Frame, v *ir.Value, args []uint32, res uint3
 			}
 			dst, src := argVal(eff.A), argVal(eff.B)
 			for i := int64(0); i+3 < n; i += 4 {
-				if e, ok := t.addrMap[src+uint32(i)]; ok {
-					t.addrMap[dst+uint32(i)] = e
-				} else {
-					delete(t.addrMap, dst+uint32(i))
-				}
+				t.addrMap.Set(dst+uint32(i), t.addrMap.Get(src+uint32(i)))
 			}
 		case extdb.FormatStr:
 			// %s arguments are NUL-terminated reads of their objects.

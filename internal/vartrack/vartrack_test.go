@@ -216,3 +216,42 @@ int main() {
 		t.Log("note: no variable covering [-8,-4); layout depends on profile")
 	}
 }
+
+// A traced run's allocations must not grow with the number of executed
+// values: direct references share one PointerInfo per base pointer, the
+// direct-reference tables are built once per function, and the address map
+// is paged. The -O0 loop below does nothing but load and store direct stack
+// locals, so 10 and 1000 iterations must allocate the same.
+func TestTracedLoopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	src := `
+extern int input_int(int i);
+int main() {
+	int x = 0;
+	int i;
+	int n = input_int(0);
+	for (i = 0; i < n; i++) x = x + 3;
+	return x & 7;
+}`
+	in := func(n int32) machine.Input { return machine.Input{Ints: []int32{n}} }
+	p, _ := trace(t, src, gen.GCC12O0, []machine.Input{in(10), in(1000)})
+	allocs := func(n int32) float64 {
+		return testing.AllocsPerRun(20, func() {
+			tr := vartrack.NewTracer(p.SPOffsets)
+			ip, err := irexec.New(p.Mod, in(n), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ip.Tr = tr
+			tr.Bind(ip)
+			if _, err := ip.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a10, a1000 := allocs(10), allocs(1000); a10 != a1000 {
+		t.Errorf("traced run allocates %v times for 10 iterations, %v for 1000", a10, a1000)
+	}
+}
