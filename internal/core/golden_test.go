@@ -11,9 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	"wytiwyg/internal/analysis"
 	"wytiwyg/internal/bench"
 	"wytiwyg/internal/bench/progs"
 	"wytiwyg/internal/core"
+	"wytiwyg/internal/ir"
 	"wytiwyg/internal/machine"
 	"wytiwyg/internal/minicc/gen"
 	"wytiwyg/internal/tracer"
@@ -200,4 +202,55 @@ func TestRefineOutputGolden(t *testing.T) {
 			trace := sha(traceText(pl.Trace)) // before the optimizer mutates the module
 			return []string{sha(fingerprintFull(t, pl, name)), trace}
 		})
+}
+
+// lintFactsDigest renders the static audit's facts for every function of
+// the refined module: the bounds checker's access counts, the stack-height
+// values it confirmed (by value number) and the sp0-relative references
+// it remembered. The diagnostics alone are in fingerprintFull; these are
+// the verdicts that raise none.
+func lintFactsDigest(t *testing.T, pl *core.Pipeline, name string) []string {
+	var b strings.Builder
+	for _, f := range pl.Mod.Funcs {
+		var rep analysis.Report
+		st := analysis.CheckBounds(f, &rep)
+		fmt.Fprintf(&b, "%s bounds %+v\n", f.Name, st)
+		facts := pl.Heights[f]
+		known := make([]*ir.Value, 0, len(facts.Known))
+		for v := range facts.Known {
+			known = append(known, v)
+		}
+		sort.Slice(known, func(i, j int) bool { return known[i].ID < known[j].ID })
+		b.WriteString("known")
+		for _, v := range known {
+			fmt.Fprintf(&b, " v%d:%d", v.ID, facts.Known[v])
+		}
+		b.WriteString("\nrefs")
+		for _, r := range facts.Refs {
+			fmt.Fprintf(&b, " %s:%d/%d", r.Loc, r.Off, r.Size)
+		}
+		b.WriteString("\n")
+	}
+	return []string{sha(b.String())}
+}
+
+// TestLintFactsGolden pins what the lint dataflow proves, not only what
+// it reports: for each program × compiler profile at the refine benchmark
+// workload's base input scale, under default flags with linting, the
+// sha256 of every function's BoundsStats, confirmed stack heights and
+// remembered stack references must match testdata/lint_facts_golden.txt.
+// A performance change to the analysis engine or its clients must leave
+// every digest as is; an intended change re-baselines the file with
+//
+//	go test ./internal/core -run TestLintFactsGolden -update-golden
+func TestLintFactsGolden(t *testing.T) {
+	var cases []goldenCase
+	for _, rs := range refineScales {
+		cases = append(cases, goldenCase{
+			prog:   rs.prog,
+			inputs: []machine.Input{{Ints: []int32{rs.scale}}},
+			opts:   core.Options{Jobs: 1, Lint: core.LintWarn},
+		})
+	}
+	checkGolden(t, "testdata/lint_facts_golden.txt", cases, lintFactsDigest)
 }
