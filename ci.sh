@@ -45,6 +45,20 @@ step "go test -race" go test -race -short ./...
 step "wytiwyg lint (benchmark corpus)" sh -c '
     go build -o /tmp/wytiwyg-ci ./cmd/wytiwyg
     /tmp/wytiwyg-ci lint -all'
+
+# Between-pass verification over the corpus: -debug-passes runs LintIR
+# (IR well-formedness, bounds, initialization, dead stores) after every
+# optimizer pass, on IR whose dense slot layout the passes invalidated,
+# and fails on a proven violation or a diverging recompiled binary.
+# cli_test.go covers only one source file.
+check_debug_passes() {
+    go build -o /tmp/wytiwyg-ci ./cmd/wytiwyg
+    for p in bzip2 gcc mcf gobmk hmmer sjeng libquantum h264ref astar xalancbmk; do
+        echo "-- wytiwyg -bench $p -debug-passes"
+        /tmp/wytiwyg-ci -bench "$p" -debug-passes >/dev/null
+    done
+}
+step "debug-passes (benchmark corpus)" check_debug_passes
 step "examples" check_examples
 
 # Superblock differential under the race detector: the full corpus compared

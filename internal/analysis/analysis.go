@@ -22,6 +22,14 @@
 //     facts that make the optimizer's promotion and store-elimination
 //     decisions provably safe rather than heuristic.
 //
+// The forward value analyses — stack heights, bounds, and the value-set
+// analysis in internal/vsa — keep their per-block state in one Env type
+// (env.go): a slice indexed by ir.Value.Slot with a presence bit per slot,
+// validated by the function's Slots owner table, so cloning a state is
+// two slice copies and a join walks only the values present. An absent
+// value is bottom, as a missing map key would be, so the fixpoints and
+// the widening schedule are those of per-value maps.
+//
 // Diagnostics carry stable func:block:idx locations (ir.Value.Location) and
 // render as text or JSON (diag.go); Lint (lint.go) bundles the checks into
 // the pipeline's post-refinement verification stage and the `wytiwyg lint`

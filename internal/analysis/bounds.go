@@ -23,6 +23,10 @@ type absVal struct {
 
 var unknown = absVal{rng: Top}
 
+// maxInt32 is the largest value whose 32-bit word reads the same signed
+// and unsigned; irexec evaluates Sar, Div and Mod on the signed reading.
+const maxInt32 = 1<<31 - 1
+
 // joinVal is the lattice join of two abstract values.
 func joinVal(a, b absVal) absVal {
 	if a.base != b.base {
@@ -32,51 +36,27 @@ func joinVal(a, b absVal) absVal {
 }
 
 // boundsEnv is the engine state: the abstract value of every SSA value
-// computed so far. Missing keys are bottom (not yet evaluated).
-type boundsEnv map[*ir.Value]absVal
+// computed so far. Absent slots are bottom (not yet evaluated).
+type boundsEnv = Env[absVal]
 
-func cloneEnv(e boundsEnv) boundsEnv {
-	out := make(boundsEnv, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
+// joinSlot is the per-slot join of boundsEnv.
+func joinSlot(dst, src absVal) (absVal, bool) {
+	nv := joinVal(dst, src)
+	return nv, nv != dst
 }
 
-func joinEnv(dst, src boundsEnv) (boundsEnv, bool) {
-	changed := false
-	for k, sv := range src {
-		dv, ok := dst[k]
-		if !ok {
-			dst[k] = sv
-			changed = true
-			continue
-		}
-		nv := joinVal(dv, sv)
-		if nv != dv {
-			dst[k] = nv
-			changed = true
-		}
-	}
-	return dst, changed
-}
-
-func widenEnv(prev, next boundsEnv) boundsEnv {
-	for k, nv := range next {
-		pv, ok := prev[k]
-		if !ok || pv.base != nv.base {
-			continue
-		}
-		nv.rng = nv.rng.WidenFrom(pv.rng)
-		next[k] = nv
+// widenSlot widens a slot whose base is unchanged.
+func widenSlot(prev, next absVal) absVal {
+	if prev.base == next.base {
+		next.rng = next.rng.WidenFrom(prev.rng)
 	}
 	return next
 }
 
 // evalValue computes the abstract value of v under env.
-func evalValue(v *ir.Value, env boundsEnv) absVal {
+func evalValue(v *ir.Value, env *boundsEnv) absVal {
 	get := func(a *ir.Value) absVal {
-		if av, ok := env[a]; ok {
+		if av, ok := env.Get(a); ok {
 			return av
 		}
 		return unknown
@@ -146,22 +126,30 @@ func evalValue(v *ir.Value, env boundsEnv) absVal {
 		}
 		return unknown
 	case ir.OpShr, ir.OpSar:
+		// Shr reads its operand unsigned, Sar signed: a word at or above
+		// 2^31 reads negative there, and the shift keeps the sign.
 		a := get(v.Args[0])
 		if k, ok := constOf(v.Args[1]); ok && k >= 0 && k < 32 &&
-			a.base == nil && a.rng.Lo >= 0 && !a.rng.IsTop() {
+			a.base == nil && a.rng.Lo >= 0 && !a.rng.IsTop() &&
+			(v.Op == ir.OpShr || a.rng.Hi <= maxInt32) {
 			return absVal{rng: Span(a.rng.Lo>>uint(k), a.rng.Hi>>uint(k))}
 		}
 		return unknown
 	case ir.OpDiv:
+		// Signed division truncates toward zero, which is monotone on the
+		// int32 reading; a bound past 2^31-1 may read negative.
 		a := get(v.Args[0])
-		if k, ok := constOf(v.Args[1]); ok && k > 0 && a.base == nil && !a.rng.IsTop() {
+		if k, ok := constOf(v.Args[1]); ok && k > 0 && a.base == nil && !a.rng.IsTop() &&
+			a.rng.Hi <= maxInt32 {
 			return absVal{rng: Span(a.rng.Lo/int64(k), a.rng.Hi/int64(k))}
 		}
 		return unknown
 	case ir.OpMod:
+		// Signed remainder: non-negative only when the dividend's int32
+		// reading is.
 		a := get(v.Args[0])
 		if k, ok := constOf(v.Args[1]); ok && k > 0 && a.base == nil {
-			if a.rng.Lo >= 0 {
+			if a.rng.Lo >= 0 && a.rng.Hi <= maxInt32 {
 				return absVal{rng: Span(0, int64(k)-1)}
 			}
 			return absVal{rng: Span(-(int64(k) - 1), int64(k)-1)}
@@ -190,7 +178,7 @@ func evalValue(v *ir.Value, env boundsEnv) absVal {
 			if a == v {
 				continue
 			}
-			av, ok := env[a]
+			av, ok := env.Get(a)
 			if !ok {
 				continue // bottom: optimistic
 			}
@@ -210,31 +198,33 @@ func evalValue(v *ir.Value, env boundsEnv) absVal {
 
 // evalBlock interprets one block under env, invoking hook on every
 // instruction before its effect is recorded.
-func evalBlock(b *ir.Block, env boundsEnv, hook func(v *ir.Value, env boundsEnv)) boundsEnv {
+func evalBlock(b *ir.Block, env *boundsEnv, hook func(v *ir.Value, env *boundsEnv)) {
 	for _, v := range b.Phis {
-		env[v] = evalValue(v, env)
+		env.Set(v, evalValue(v, env))
 	}
 	for _, v := range b.Insts {
 		if hook != nil {
 			hook(v, env)
 		}
 		if v.Op.HasResult() {
-			env[v] = evalValue(v, env)
+			env.Set(v, evalValue(v, env))
 		}
 	}
-	return env
 }
 
 // boundsProblem is the interval-analysis instance of the engine.
-func boundsProblem() Problem[boundsEnv] {
+func boundsProblem(slots *Slots) Problem[boundsEnv] {
 	return Problem[boundsEnv]{
 		Forward:  true,
-		Boundary: func(f *ir.Func) boundsEnv { return boundsEnv{} },
-		Bottom:   func() boundsEnv { return boundsEnv{} },
-		Join:     joinEnv,
-		Clone:    cloneEnv,
-		Transfer: func(b *ir.Block, in boundsEnv) boundsEnv { return evalBlock(b, in, nil) },
-		Widen:    widenEnv,
+		Boundary: func(*ir.Func) boundsEnv { return NewEnv[absVal](slots) },
+		Bottom:   func() boundsEnv { return NewEnv[absVal](slots) },
+		Join:     func(dst, src boundsEnv) (boundsEnv, bool) { return dst.Join(src, joinSlot) },
+		Clone:    boundsEnv.Clone,
+		Transfer: func(b *ir.Block, in boundsEnv) boundsEnv {
+			evalBlock(b, &in, nil)
+			return in
+		},
+		Widen: func(prev, next boundsEnv) boundsEnv { return next.Widen(prev, widenSlot) },
 	}
 }
 
@@ -256,14 +246,16 @@ type BoundsStats struct {
 // symbolized stack access that is not provably inside its recovered
 // object.
 func CheckBounds(f *ir.Func, rep *Report) BoundsStats {
-	res := Solve(f, boundsProblem())
+	res := Solve(f, boundsProblem(NewSlots(f)))
 	var st BoundsStats
 	for _, b := range f.Blocks {
 		env, ok := res.In[b]
 		if !ok {
 			continue // unreachable
 		}
-		evalBlock(b, cloneEnv(env), func(v *ir.Value, env boundsEnv) {
+		// Each block's in-state is its own copy and nothing reads it
+		// after this walk, so it is evaluated in place.
+		evalBlock(b, &env, func(v *ir.Value, env *boundsEnv) {
 			var addr *ir.Value
 			switch v.Op {
 			case ir.OpLoad, ir.OpStore:
@@ -271,7 +263,7 @@ func CheckBounds(f *ir.Func, rep *Report) BoundsStats {
 			default:
 				return
 			}
-			av, ok := env[addr]
+			av, ok := env.Get(addr)
 			if !ok || av.base == nil {
 				st.Outside++
 				return

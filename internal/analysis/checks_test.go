@@ -182,6 +182,40 @@ func TestBoundsMaskedIndexProven(t *testing.T) {
 	}
 }
 
+func TestBoundsSignedOpsOnWrappedRange(t *testing.T) {
+	// (p&0x7fffffff)+(q&0x7fffffff) spans [0,0xfffffffe]: its int32
+	// reading is negative from 0x80000000 up, so sar, div and mod — which
+	// irexec evaluates on int32 — can yield a negative index (p=q=0x7fffffff
+	// gives -2 sar 28 = -1). None of the three byte accesses is provable.
+	_, f, b := mkFunc("f")
+	a := alloca(f, b, "a", -16, 16)
+	mask := konst(f, b, 0x7fffffff)
+	sum := f.NewValue(ir.OpAdd,
+		f.NewValue(ir.OpAnd, load(f, b, a), mask),
+		f.NewValue(ir.OpAnd, load(f, b, a), mask))
+	b.Append(sum.Args[0])
+	b.Append(sum.Args[1])
+	b.Append(sum)
+	for _, op := range []struct {
+		op ir.Op
+		k  int32
+	}{{ir.OpSar, 28}, {ir.OpDiv, 1 << 28}, {ir.OpMod, 16}} {
+		idx := f.NewValue(op.op, sum, konst(f, b, op.k))
+		b.Append(idx)
+		addr := f.NewValue(ir.OpAdd, a, idx)
+		b.Append(addr)
+		load(f, b, addr).Size = 1
+	}
+	b.Append(f.NewValue(ir.OpRet, sum))
+
+	var rep Report
+	st := CheckBounds(f, &rep)
+	if st.Proven != 2 || st.Unproven != 3 || st.Violations != 0 {
+		t.Fatalf("stats: %+v, want the two word loads proven and the three byte loads unproven\n%s",
+			st, rep.String())
+	}
+}
+
 func TestInitCheck(t *testing.T) {
 	// Diamond: only one arm stores to the slot — the load after the join
 	// may read uninitialized memory; after a store on both arms it may not.

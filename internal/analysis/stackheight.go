@@ -44,36 +44,19 @@ func joinHeight(a, b height) height {
 	return height{k: hTop}
 }
 
-type heightEnv map[*ir.Value]height
+type heightEnv = Env[height]
 
-func cloneHeights(e heightEnv) heightEnv {
-	out := make(heightEnv, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
+// joinHeightSlot is the per-slot join of heightEnv.
+func joinHeightSlot(dst, src height) (height, bool) {
+	nv := joinHeight(dst, src)
+	return nv, nv != dst
 }
 
-func joinHeights(dst, src heightEnv) (heightEnv, bool) {
-	changed := false
-	for k, sv := range src {
-		dv, ok := dst[k]
-		if !ok {
-			dst[k] = sv
-			changed = true
-			continue
-		}
-		nv := joinHeight(dv, sv)
-		if nv != dv {
-			dst[k] = nv
-			changed = true
-		}
+func evalHeight(v, esp *ir.Value, env *heightEnv) height {
+	get := func(a *ir.Value) height {
+		h, _ := env.Get(a)
+		return h
 	}
-	return dst, changed
-}
-
-func evalHeight(v, esp *ir.Value, env heightEnv) height {
-	get := func(a *ir.Value) height { return env[a] }
 	lift := func(h height, delta int32) height {
 		if h.k == hKnown {
 			return height{k: hKnown, c: h.c + delta}
@@ -176,19 +159,24 @@ func Heights(f *ir.Func) HeightFacts {
 		return facts
 	}
 	facts.Known[esp] = 0
+	slots := NewSlots(f)
 	prob := Problem[heightEnv]{
-		Forward:  true,
-		Boundary: func(*ir.Func) heightEnv { return heightEnv{esp: {k: hKnown, c: 0}} },
-		Bottom:   func() heightEnv { return heightEnv{} },
-		Join:     joinHeights,
-		Clone:    cloneHeights,
+		Forward: true,
+		Boundary: func(*ir.Func) heightEnv {
+			env := NewEnv[height](slots)
+			env.Set(esp, height{k: hKnown, c: 0})
+			return env
+		},
+		Bottom: func() heightEnv { return NewEnv[height](slots) },
+		Join:   func(dst, src heightEnv) (heightEnv, bool) { return dst.Join(src, joinHeightSlot) },
+		Clone:  heightEnv.Clone,
 		Transfer: func(b *ir.Block, in heightEnv) heightEnv {
 			for _, v := range b.Phis {
-				in[v] = evalHeight(v, esp, in)
+				in.Set(v, evalHeight(v, esp, &in))
 			}
 			for _, v := range b.Insts {
 				if v.Op.HasResult() {
-					in[v] = evalHeight(v, esp, in)
+					in.Set(v, evalHeight(v, esp, &in))
 				}
 			}
 			return in
@@ -201,7 +189,7 @@ func Heights(f *ir.Func) HeightFacts {
 			continue
 		}
 		record := func(v *ir.Value) {
-			if h, ok := env[v]; ok && h.k == hKnown {
+			if h, ok := env.Get(v); ok && h.k == hKnown {
 				facts.Known[v] = h.c
 			}
 		}
@@ -213,7 +201,7 @@ func Heights(f *ir.Func) HeightFacts {
 				record(v)
 			}
 			if v.Op == ir.OpLoad || v.Op == ir.OpStore {
-				if h, ok := env[v.Args[0]]; ok && h.k == hKnown {
+				if h, ok := env.Get(v.Args[0]); ok && h.k == hKnown {
 					size := v.Size
 					if size == 0 {
 						size = 4

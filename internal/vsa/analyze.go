@@ -1,7 +1,6 @@
 package vsa
 
 import (
-	"math/bits"
 	"time"
 
 	"wytiwyg/internal/analysis"
@@ -21,64 +20,34 @@ type aloc struct {
 
 // state is the abstract machine state at a program point: the value set
 // of every SSA value evaluated so far and the abstract store. The env is
-// a slice indexed by Value.Slot() with a presence bit per slot (a missing
-// slot is bottom, the optimistic initial value; absent slots hold the
-// zero ValueSet); a nil env is the empty one. In the store a nil map is
-// bottom and a missing key in a non-nil map is Top, so joins intersect
-// key sets.
+// the analysis package's slot-indexed env (an absent slot is bottom, the
+// optimistic initial value). In the store a nil map is bottom and a
+// missing key in a non-nil map is Top, so joins intersect key sets.
 type state struct {
-	env []ValueSet
-	has []uint64
+	env analysis.Env[ValueSet]
 	mem map[aloc]ValueSet
 }
 
-// solver is the per-function context of one fixpoint: the slot → value
-// table that validates env lookups (a value another function owns, or one
-// no block holds, reads as missing exactly like an absent map key) and
-// the syntactic escape set used for call clobbering.
+// solver is the per-function context of one fixpoint: the syntactic
+// escape set used for call clobbering.
 type solver struct {
-	owner []*ir.Value
-	esc   map[*ir.Value]bool
+	esc map[*ir.Value]bool
 }
 
-// slot returns v's env index, or -1 when v is not one of the function's
-// values.
-func (sol *solver) slot(v *ir.Value) int {
-	if s := v.Slot(); s >= 0 && s < len(sol.owner) && sol.owner[s] == v {
-		return s
+// joinVS is the per-slot join of the env: ValueSet is not comparable, so
+// leq decides whether the join grows dst.
+func joinVS(dst, src ValueSet) (ValueSet, bool) {
+	if src.leq(dst) {
+		return dst, false
 	}
-	return -1
+	return dst.Join(src), true
 }
 
-// get returns v's value set and whether it is present in st.
-func (sol *solver) get(st *state, v *ir.Value) (ValueSet, bool) {
-	s := sol.slot(v)
-	if s < 0 || st.env == nil || st.has[s>>6]&(1<<(s&63)) == 0 {
-		return ValueSet{}, false
-	}
-	return st.env[s], true
-}
-
-// set records v's value set in st.
-func (sol *solver) set(st *state, v *ir.Value, vs ValueSet) {
-	s := sol.slot(v)
-	if s < 0 {
-		return
-	}
-	if st.env == nil {
-		st.env = make([]ValueSet, len(sol.owner))
-		st.has = make([]uint64, (len(sol.owner)+63)/64)
-	}
-	st.env[s] = vs
-	st.has[s>>6] |= 1 << (s & 63)
-}
+// widenVS is the per-slot widening of the env.
+func widenVS(prev, next ValueSet) ValueSet { return next.WidenFrom(prev) }
 
 func cloneState(s state) state {
-	var out state
-	if s.env != nil {
-		out.env = append([]ValueSet(nil), s.env...)
-		out.has = append([]uint64(nil), s.has...)
-	}
+	out := state{env: s.env.Clone()}
 	if s.mem != nil {
 		out.mem = make(map[aloc]ValueSet, len(s.mem))
 		for k, v := range s.mem {
@@ -89,37 +58,8 @@ func cloneState(s state) state {
 }
 
 func joinState(dst, src state) (state, bool) {
-	changed := false
-	switch {
-	case src.env == nil:
-		// Empty env contributes nothing.
-	case dst.env == nil:
-		for _, w := range src.has {
-			if w != 0 {
-				changed = true
-				break
-			}
-		}
-		dst.env = append([]ValueSet(nil), src.env...)
-		dst.has = append([]uint64(nil), src.has...)
-	default:
-		for w, word := range src.has {
-			for word != 0 {
-				bit := word & -word
-				word &^= bit
-				i := w<<6 + bits.TrailingZeros64(bit)
-				switch {
-				case dst.has[w]&bit == 0:
-					dst.env[i] = src.env[i]
-					dst.has[w] |= bit
-					changed = true
-				case !src.env[i].leq(dst.env[i]):
-					dst.env[i] = dst.env[i].Join(src.env[i])
-					changed = true
-				}
-			}
-		}
-	}
+	var changed bool
+	dst.env, changed = dst.env.Join(src.env, joinVS)
 	switch {
 	case src.mem == nil:
 		// Bottom store contributes nothing.
@@ -147,16 +87,7 @@ func joinState(dst, src state) (state, bool) {
 }
 
 func widenState(prev, next state) state {
-	if prev.env != nil && next.env != nil {
-		for w, word := range next.has {
-			word &= prev.has[w]
-			for word != 0 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				next.env[i] = next.env[i].WidenFrom(prev.env[i])
-			}
-		}
-	}
+	next.env = next.env.Widen(prev.env, widenVS)
 	for k, nv := range next.mem {
 		if pv, ok := prev.mem[k]; ok {
 			next.mem[k] = nv.WidenFrom(pv)
@@ -177,7 +108,7 @@ func accSize(v *ir.Value) int64 {
 // evalValue computes the value set of one non-memory instruction.
 func (sol *solver) evalValue(v *ir.Value, st *state) ValueSet {
 	get := func(a *ir.Value) ValueSet {
-		if vs, ok := sol.get(st, a); ok {
+		if vs, ok := st.env.Get(a); ok {
 			return vs
 		}
 		return TopVS
@@ -251,7 +182,7 @@ func (sol *solver) evalValue(v *ir.Value, st *state) ValueSet {
 			if a == v {
 				continue
 			}
-			av, ok := sol.get(st, a)
+			av, ok := st.env.Get(a)
 			if !ok {
 				continue // bottom: optimistic, resolved by reiteration
 			}
@@ -363,22 +294,22 @@ func (sol *solver) transfer(b *ir.Block, st state) state {
 		st.mem = make(map[aloc]ValueSet) // bottom store: treat as all-Top
 	}
 	for _, v := range b.Phis {
-		sol.set(&st, v, sol.evalValue(v, &st))
+		st.env.Set(v, sol.evalValue(v, &st))
 	}
 	for _, v := range b.Insts {
 		switch v.Op {
 		case ir.OpLoad:
-			sol.set(&st, v, sol.loadCell(&st, v))
+			st.env.Set(v, sol.loadCell(&st, v))
 		case ir.OpStore:
 			sol.storeCell(&st, v)
 		case ir.OpCall, ir.OpCallInd, ir.OpCallExt, ir.OpCallExtRaw:
 			clobberCall(st, sol.esc)
 			if v.Op.HasResult() {
-				sol.set(&st, v, sol.evalValue(v, &st))
+				st.env.Set(v, sol.evalValue(v, &st))
 			}
 		default:
 			if v.Op.HasResult() {
-				sol.set(&st, v, sol.evalValue(v, &st))
+				st.env.Set(v, sol.evalValue(v, &st))
 			}
 		}
 	}
@@ -388,7 +319,7 @@ func (sol *solver) transfer(b *ir.Block, st state) state {
 // loadCell reads the abstract store: only an address proven to be exactly
 // one non-heap cell yields a tracked value; everything else is Top.
 func (sol *solver) loadCell(st *state, v *ir.Value) ValueSet {
-	addr, ok := sol.get(st, v.Args[0])
+	addr, ok := st.env.Get(v.Args[0])
 	if !ok || addr.top || len(addr.parts) != 1 {
 		return TopVS
 	}
@@ -413,7 +344,7 @@ func (sol *solver) loadCell(st *state, v *ir.Value) ValueSet {
 // those cells too — and a frame store clobbers numeric cells living at
 // such unproven addresses.
 func (sol *solver) storeCell(st *state, v *ir.Value) {
-	addr, ok := sol.get(st, v.Args[0])
+	addr, ok := st.env.Get(v.Args[0])
 	size := accSize(v)
 	if !ok || addr.top || addr.IsBottom() {
 		for k := range st.mem {
@@ -422,7 +353,7 @@ func (sol *solver) storeCell(st *state, v *ir.Value) {
 		return
 	}
 	val := TopVS
-	if sv, ok := sol.get(st, v.Args[1]); ok {
+	if sv, ok := st.env.Get(v.Args[1]); ok {
 		val = sv
 	}
 	if r, s, one := singleCell(addr); one {
@@ -501,20 +432,14 @@ func clobberCall(st state, esc map[*ir.Value]bool) {
 // added since the last EnsureLayout) is recomputed first.
 func Analyze(f *ir.Func) *FuncResult {
 	start := time.Now()
-	f.EnsureLayout()
-	sol := &solver{owner: make([]*ir.Value, f.Layout().NumSlots), esc: analysis.Escapes(f)}
-	for _, b := range f.Blocks {
-		for _, v := range b.Phis {
-			sol.owner[v.Slot()] = v
-		}
-		for _, v := range b.Insts {
-			sol.owner[v.Slot()] = v
-		}
-	}
+	slots := analysis.NewSlots(f)
+	sol := &solver{esc: analysis.Escapes(f)}
 	prob := analysis.Problem[state]{
-		Forward:  true,
-		Boundary: func(*ir.Func) state { return state{mem: map[aloc]ValueSet{}} },
-		Bottom:   func() state { return state{} },
+		Forward: true,
+		Boundary: func(*ir.Func) state {
+			return state{env: analysis.NewEnv[ValueSet](slots), mem: map[aloc]ValueSet{}}
+		},
+		Bottom:   func() state { return state{env: analysis.NewEnv[ValueSet](slots)} },
 		Join:     joinState,
 		Clone:    cloneState,
 		Transfer: sol.transfer,
@@ -528,12 +453,12 @@ func Analyze(f *ir.Func) *FuncResult {
 			continue
 		}
 		for _, v := range b.Phis {
-			if vs, ok := sol.get(&out, v); ok {
+			if vs, ok := out.env.Get(v); ok {
 				vals[v] = vs
 			}
 		}
 		for _, v := range b.Insts {
-			if vs, ok := sol.get(&out, v); ok && v.Op.HasResult() {
+			if vs, ok := out.env.Get(v); ok && v.Op.HasResult() {
 				vals[v] = vs
 			}
 		}
